@@ -6,6 +6,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .core import MAX_VAR_INDEX
+from .errors import IndexOverflow
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -22,16 +25,23 @@ def default_threads() -> int:
     return max(1, value)
 
 
+def worker_cap(threads: int) -> int:
+    """The usable worker count for a thread budget: at most one per CPU."""
+    return max(1, min(threads, os.cpu_count() or 1))
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
     """map(fn, items) with results in input order.
 
-    With threads <= 1 this is a plain loop; otherwise a thread pool is used.
-    Results are collected in order either way, so callers stay deterministic
-    whatever the worker count.
+    At most min(threads, len(items), CPU count) workers run; with one, this
+    is a plain loop, otherwise a thread pool is used.  Results are collected
+    in order either way, so callers stay deterministic whatever the worker
+    count.
     """
-    if threads <= 1 or len(items) <= 1:
+    workers = min(worker_cap(threads), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -48,7 +58,10 @@ def indices_from_mask(mask: int) -> list[int]:
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
+    """The bit mask of 1-based variable indices; each must lie in 1..64."""
     mask = 0
     for i in indices:
+        if not 1 <= i <= MAX_VAR_INDEX:
+            raise IndexOverflow(f"variable index {i} outside 1..{MAX_VAR_INDEX}")
         mask |= 1 << (i - 1)
     return mask

@@ -114,23 +114,12 @@ def lift_pair(
     raise TypeError("inputs must both be TruthTable or both SparsePolynomial")
 
 
-def _parity_bits(n: int) -> int:
-    """Packed table of popcount parity: bit v set iff |v| is odd."""
-    mask = 0
-    width = 1
-    for _ in range(n):
-        inv = ~mask & ((1 << width) - 1)
-        mask |= inv << width
-        width <<= 1
-    return mask
-
-
 def complement(f: TruthTable) -> TruthTable:
     """The pointwise product of f with the full parity character chi_[n].
 
     An involution mapping k-functions to (n-k)-functions bijectively.
     """
-    return TruthTable(f.n, f.bits ^ _parity_bits(f.n))
+    return TruthTable(f.n, f.bits ^ TruthTable.character(f.n, (1 << f.n) - 1).bits)
 
 
 def disjoint_copy(p: SparsePolynomial, offset: int) -> SparsePolynomial:

@@ -26,7 +26,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -43,10 +43,6 @@ MAX_DENSE_N = 26
 
 #: Largest 1-based variable index a sparse polynomial may mention.
 MAX_VAR_INDEX = 64
-
-# Ints are used pervasively as packed bit vectors; numpy only kicks in for
-# bulk transforms where the butterfly over a Python list would dominate.
-_NUMPY_WHT_MIN_N = 13
 
 
 def _check_dimension(n: int) -> None:
@@ -98,11 +94,8 @@ class TruthTable:
         _check_dimension(n)
         if not 0 <= mask < (1 << n):
             raise ValueError(f"character mask {mask} outside Q_{n}")
-        bits = 0
-        for v in range(1 << n):
-            if (mask & v).bit_count() & 1:
-                bits |= 1 << v
-        return cls(n, bits)
+        parity = np.bitwise_count(np.arange(1 << n) & mask) & 1
+        return cls(n, _pack(parity))
 
     @classmethod
     def dictator(cls, n: int, i: int) -> "TruthTable":
@@ -115,17 +108,13 @@ class TruthTable:
     def from_values(cls, n: int, values: Iterable[int]) -> "TruthTable":
         """Build from f(0), f(1), ... as +/-1 values."""
         _check_dimension(n)
-        bits = 0
-        count = 0
-        for v, val in enumerate(values):
+        vals = list(values)
+        for v, val in enumerate(vals):
             if val not in (1, -1):
                 raise ValueError(f"value at vertex {v} is {val}, not +/-1")
-            if val == -1:
-                bits |= 1 << v
-            count += 1
-        if count != (1 << n):
-            raise ValueError(f"expected {1 << n} values, got {count}")
-        return cls(n, bits)
+        if len(vals) != (1 << n):
+            raise ValueError(f"expected {1 << n} values, got {len(vals)}")
+        return cls(n, _pack(np.array(vals) == -1))
 
     def value(self, v: int) -> int:
         """f(v) as +1 or -1."""
@@ -134,7 +123,7 @@ class TruthTable:
         return 1 - 2 * ((self.bits >> v) & 1)
 
     def values(self) -> list[int]:
-        return [1 - 2 * ((self.bits >> v) & 1) for v in range(1 << self.n)]
+        return (1 - 2 * _unpack(self.bits, self.n).astype(np.int64)).tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruthTable):
@@ -162,7 +151,7 @@ class Spectrum:
 
     def __init__(self, n: int, coeffs: Iterable[int]):
         _check_dimension(n)
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(int, coeffs))
         if len(cs) != (1 << n):
             raise ValueError(f"expected {1 << n} coefficients, got {len(cs)}")
         self.n = n
@@ -333,42 +322,46 @@ def _accumulate(
         acc[mask] = _normalize_term(num2, a2)
 
 
-def _butterfly_list(a: list[int]) -> None:
-    """In-place Walsh-Hadamard butterfly on a length-2**n list."""
-    m = len(a)
+def _unpack(bits: int | np.ndarray, n: int) -> np.ndarray:
+    """Table bits as a uint8 0/1 array over the last axis, vertex v at [v].
+
+    ``bits`` is one packed table (any n) or a uint64 array of them (n <= 6,
+    one row per entry).  The inverse of :func:`_pack`; every conversion
+    between packed ints and arrays goes through these two.
+    """
+    size = 1 << n
+    if isinstance(bits, np.ndarray):
+        raw = bits.astype("<u8")[..., None].view(np.uint8)
+    else:
+        raw = np.frombuffer(bits.to_bytes(-(-size // 8), "little"), np.uint8)
+    return np.unpackbits(raw, axis=-1, count=size, bitorder="little")
+
+
+def _pack(arr: np.ndarray) -> int:
+    """The packed table whose bit v is set iff arr[v] is nonzero."""
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _butterfly(a: np.ndarray) -> None:
+    """In-place Walsh-Hadamard butterfly over the last axis of a C-contiguous
+    int64 array.
+
+    The last axis has length 2**n; any leading axes are a batch.  Applied
+    twice it multiplies by 2**n, so inputs bounded by 2**n in absolute
+    value stay below 2**(2n) <= 2**52, safely inside int64.
+    """
+    m = a.shape[-1]
     h = 1
     while h < m:
-        for i in range(0, m, h * 2):
-            for j in range(i, i + h):
-                x = a[j]
-                y = a[j + h]
-                a[j] = x + y
-                a[j + h] = x - y
+        # Rows of the batch are whole blocks of 2*h, so one reshape pairs
+        # every entry with its partner h further on.
+        pairs = a.reshape(-1, 2, h)
+        x = pairs[:, 0]
+        y = pairs[:, 1]
+        diff = x - y
+        x += y
+        y[...] = diff
         h *= 2
-
-
-def _butterfly_numpy(a: np.ndarray) -> np.ndarray:
-    m = a.shape[0]
-    h = 1
-    while h < m:
-        a = a.reshape(-1, h * 2)
-        x = a[:, :h].copy()
-        y = a[:, h:].copy()
-        a[:, :h] = x + y
-        a[:, h:] = x - y
-        a = a.reshape(-1)
-        h *= 2
-    return a
-
-
-def _transform(values: list[int], n: int) -> list[int]:
-    if n >= _NUMPY_WHT_MIN_N:
-        # Entries stay below 2**(2n) <= 2**52, safely inside int64.
-        arr = _butterfly_numpy(np.asarray(values, dtype=np.int64))
-        return [int(c) for c in arr]
-    a = list(values)
-    _butterfly_list(a)
-    return a
 
 
 def wht(f: TruthTable) -> Spectrum:
@@ -379,10 +372,9 @@ def wht(f: TruthTable) -> Spectrum:
     """
     if f._spectrum is not None:
         return f._spectrum
-    size = 1 << f.n
-    bits = f.bits
-    vals = [1 - 2 * ((bits >> v) & 1) for v in range(size)]
-    spectrum = Spectrum(f.n, _transform(vals, f.n))
+    a = 1 - 2 * _unpack(f.bits, f.n).astype(np.int64)
+    _butterfly(a)
+    spectrum = Spectrum(f.n, a.tolist())
     f._spectrum = spectrum
     return spectrum
 
@@ -394,17 +386,20 @@ def inverse_wht(s: Spectrum) -> TruthTable:
     +/-1-valued function.
     """
     size = 1 << s.n
-    out = _transform(list(s.coeffs), s.n)
-    bits = 0
-    for v, c in enumerate(out):
-        # The butterfly applied twice multiplies by 2**n.
-        if c == -size:
-            bits |= 1 << v
-        elif c != size:
-            raise NotBoolean(
-                f"spectrum evaluates to {Fraction(c, size)} at vertex {v}"
-            )
-    table = TruthTable(s.n, bits)
+    # No +/-1 function has a coefficient beyond 2**n; rejecting those first
+    # keeps the int64 butterfly below 2**52.
+    if max(s.coeffs) > size or min(s.coeffs) < -size:
+        raise NotBoolean(f"a coefficient exceeds 2**{s.n} in absolute value")
+    a = np.array(s.coeffs, dtype=np.int64)
+    _butterfly(a)
+    # The butterfly applied twice multiplies by 2**n.
+    bad = np.flatnonzero(np.abs(a) != size)
+    if bad.size:
+        v = int(bad[0])
+        raise NotBoolean(
+            f"spectrum evaluates to {Fraction(int(a[v]), size)} at vertex {v}"
+        )
+    table = TruthTable(s.n, _pack(a < 0))
     table._spectrum = s
     return table
 
@@ -484,7 +479,3 @@ def spectrum_from_sparse(p: SparsePolynomial, n: int) -> Spectrum:
             )
         coeffs[mask] = num << (n - a)
     return Spectrum(n, coeffs)
-
-
-def iter_vertices(n: int) -> Iterator[int]:
-    return iter(range(1 << n))

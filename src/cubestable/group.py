@@ -16,7 +16,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator
 
-from .core import MAX_DENSE_N, TruthTable, _check_dimension
+import numpy as np
+
+from .core import MAX_DENSE_N, TruthTable, _check_dimension, _pack, _unpack
 from .errors import DimensionMismatch, DimensionTooLarge, ShrinkNotAllowed
 
 #: Largest n for which the full group scan behind canonical_form is practical.
@@ -50,12 +52,9 @@ class SignedAutomorphism:
     def identity(cls, n: int) -> "SignedAutomorphism":
         return cls(n, 1, 0, tuple(range(n)))
 
-    def vertex_map(self, v: int) -> int:
+    def vertex_map(self, v: int | np.ndarray) -> int | np.ndarray:
         """The vertex phi(v) whose value the transformed table reads at v."""
-        w = 0
-        for j, s in enumerate(self.sigma):
-            w |= ((v >> s) & 1) << j
-        return w ^ self.alpha
+        return _permute_mask(self.sigma, v) ^ self.alpha
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedAutomorphism):
@@ -93,9 +92,9 @@ def group_elements(n: int) -> Iterator[SignedAutomorphism]:
                 yield SignedAutomorphism(n, epsilon, alpha, sigma)
 
 
-def _permute_mask(sigma: tuple[int, ...], mask: int) -> int:
-    """The mask m' with bit j of m' = bit sigma[j] of mask."""
-    out = 0
+def _permute_mask(sigma: tuple[int, ...], mask: int | np.ndarray) -> int | np.ndarray:
+    """The mask m' with bit j of m' = bit sigma[j] of mask (also elementwise)."""
+    out = mask & 0  # an int or an array, like mask
     for j, s in enumerate(sigma):
         out |= ((mask >> s) & 1) << j
     return out
@@ -105,15 +104,10 @@ def apply(a: SignedAutomorphism, f: TruthTable) -> TruthTable:
     """The table of epsilon * f(phi(.))."""
     if a.n != f.n:
         raise DimensionMismatch(f"automorphism on Q_{a.n}, table on Q_{f.n}")
-    bits = 0
-    src = f.bits
-    flip = a.epsilon == -1
-    for v in range(1 << f.n):
-        b = (src >> a.vertex_map(v)) & 1
-        if flip:
-            b ^= 1
-        bits |= b << v
-    return TruthTable(f.n, bits)
+    vals = _unpack(f.bits, f.n)[a.vertex_map(np.arange(1 << f.n))]
+    if a.epsilon == -1:
+        vals ^= 1
+    return TruthTable(f.n, _pack(vals))
 
 
 def compose(a: SignedAutomorphism, b: SignedAutomorphism) -> SignedAutomorphism:
@@ -135,13 +129,10 @@ def inverse(a: SignedAutomorphism) -> SignedAutomorphism:
 
 
 @lru_cache(maxsize=8)
-def _permutation_tables(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _permutation_tables(n: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(sigma, permuted-vertex table) pairs for all of S_n; cached for small n."""
-    out = []
-    for sigma in permutations(range(n)):
-        table = tuple(_permute_mask(sigma, v) for v in range(1 << n))
-        out.append((sigma, table))
-    return out
+    vertices = np.arange(1 << n)
+    return [(sigma, _permute_mask(sigma, vertices)) for sigma in permutations(range(n))]
 
 
 def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
@@ -163,16 +154,17 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
         )
     size = 1 << n
     full = (1 << size) - 1
-    src = f.bits
+    vals = _unpack(f.bits, n)
+    alphas = np.arange(size)[:, None]
     best_key: int | None = None
     best: tuple[int, int, tuple[int, ...]] | None = None
     for sigma, table in _permutation_tables(n):
+        # Row alpha of the gather is the value sequence of (1, alpha, sigma);
+        # packed in reverse, vertex 0 is the key's most significant bit, so
+        # integer order of keys is lexicographic order of sequences.
+        packed = _pack(vals[table ^ alphas][:, ::-1])
         for alpha in range(size):
-            # key packs the transformed values with vertex 0 as the most
-            # significant bit, so integer order = lexicographic order.
-            key = 0
-            for v in range(size):
-                key = (key << 1) | ((src >> (table[v] ^ alpha)) & 1)
+            key = (packed >> (alpha * size)) & full
             if best_key is None or key < best_key:
                 best_key = key
                 best = (1, alpha, sigma)
@@ -183,10 +175,7 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     assert best is not None and best_key is not None
     epsilon, alpha, sigma = best
     witness = SignedAutomorphism(n, epsilon, alpha, sigma)
-    rep_bits = 0
-    for v in range(size):
-        rep_bits |= ((best_key >> (size - 1 - v)) & 1) << v
-    rep = TruthTable(n, rep_bits)
+    rep = TruthTable(n, _pack(_unpack(best_key, n)[::-1]))
     if apply(witness, f) != rep:
         raise AssertionError("canonical witness failed re-verification")
     return rep, witness
@@ -225,9 +214,4 @@ def pad_to(f: TruthTable, n: int) -> TruthTable:
         raise DimensionTooLarge(
             f"dense representations support n <= {MAX_DENSE_N}, got n={n}"
         )
-    bits = f.bits
-    block = 1 << f.n
-    for _ in range(n - f.n):
-        bits |= bits << block
-        block <<= 1
-    return TruthTable(n, bits)
+    return TruthTable(n, _pack(np.tile(_unpack(f.bits, f.n), 1 << (n - f.n))))

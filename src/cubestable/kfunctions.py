@@ -20,12 +20,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import chunk_ranges, parallel_map
-from .core import Spectrum, TruthTable, inverse_wht, wht
+from ._util import chunk_ranges, parallel_map, worker_cap
+from .core import TruthTable, _butterfly, _pack, _unpack, wht
 from .errors import (
     DimensionTooLarge,
     KOutOfRange,
-    NotBoolean,
     SearchBudgetExceeded,
     ZeroDimension,
 )
@@ -51,14 +50,8 @@ def flip_count(f: TruthTable, v: int) -> int:
 
 @lru_cache(maxsize=None)
 def _half_mask(n: int, j: int) -> int:
-    """Vertices of Q_n whose bit j is clear, as a packed bit mask."""
-    size = 1 << n
-    mask = (1 << (1 << j)) - 1
-    span = 1 << (j + 1)
-    while span < size:
-        mask |= mask << span
-        span <<= 1
-    return mask
+    """Vertices of Q_n whose bit j is clear (where x_{j+1} = +1), packed."""
+    return TruthTable.character(n, 1 << j).bits ^ ((1 << (1 << n)) - 1)
 
 
 def uniform_flip_count(f: TruthTable) -> int:
@@ -122,14 +115,12 @@ def p_parameter(n: int, k: int) -> Fraction:
 
 def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
     """Truth-table ints in [start, stop) that are k-functions, ascending."""
-    size = 1 << n
-    shifts = np.arange(size, dtype=np.uint64)
-    flip_cols = [shifts ^ np.uint64(1 << j) for j in range(n)]
     cand = np.arange(start, stop, dtype=np.uint64)
-    bits = ((cand[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    bits = _unpack(cand, n)
+    vertices = np.arange(1 << n)
     counts = np.zeros_like(bits)
-    for col in flip_cols:
-        counts += bits ^ bits[:, col.astype(np.int64)]
+    for j in range(n):
+        counts += bits ^ bits[:, vertices ^ (1 << j)]
     ok = (counts == k).all(axis=1)
     return [int(c) for c in cand[ok]]
 
@@ -160,7 +151,7 @@ def enumerate_truth_tables(
     total = 1 << (1 << n)
     for lo in range(0, total, chunk_size):
         hi = min(lo + chunk_size, total)
-        pieces = chunk_ranges(hi - lo, threads)
+        pieces = chunk_ranges(hi - lo, worker_cap(threads))
         found = parallel_map(
             lambda piece: _scan_range(n, k, lo + piece[0], lo + piece[1]),
             pieces,
@@ -192,52 +183,72 @@ def enumerate_spectral(
     order is the deterministic search order, independent of budget.
 
     Raises :class:`SearchBudgetExceeded` once more than ``node_budget``
-    assignments have been tried.
+    assignments have been tried, after yielding every function found
+    before that point.
     """
     if k < 1:
         raise KOutOfRange("spectral search needs k >= 1; 0-functions are +/-1")
     _check_k(n, k)
-    masks = _level_masks(n, k)
-    target = 4 ** (k - 1)
-    scale = 1 << (n - k + 1)  # packed coeff = x * 2**(n-k+1)
-    coeffs = [0] * (1 << n)
-    nodes = 0
-    depth = len(masks)
+    return _spectral_hits(n, k, node_budget)
 
-    def dfs(idx: int, residual: int) -> Iterator[TruthTable]:
+
+def _spectral_hits(n: int, k: int, node_budget: int) -> Iterator[TruthTable]:
+    masks = list(_level_masks(n, k))
+    depth = len(masks)
+    xs = [0] * depth  # the integer x_S of each level-k mask, in mask order
+    nodes = 0
+
+    def visit(x: int, idx: int) -> None:
         nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"spectral search for (n={n}, k={k}) exceeded {node_budget} nodes"
+            )
+        xs[idx] = x
+
+    def solutions(idx: int, residual: int) -> Iterator[tuple[int, ...]]:
         if idx == depth:
             if residual == 0:
-                try:
-                    yield inverse_wht(Spectrum(n, coeffs))
-                except NotBoolean:
-                    pass
+                yield tuple(xs)
             return
-        mask = masks[idx]
         top = isqrt(residual)
         # Dead branch: even all-maximal squares cannot reach the residual.
         if top * top * (depth - idx) < residual:
             return
         for mag in range(top, 0, -1):
             for x in (mag, -mag):
-                nodes += 1
-                if nodes > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"spectral search for (n={n}, k={k}) exceeded "
-                        f"{node_budget} nodes"
-                    )
-                coeffs[mask] = x * scale
-                yield from dfs(idx + 1, residual - mag * mag)
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"spectral search for (n={n}, k={k}) exceeded {node_budget} nodes"
-            )
-        coeffs[mask] = 0
-        yield from dfs(idx + 1, residual)
-        coeffs[mask] = 0
+                visit(x, idx)
+                yield from solutions(idx + 1, residual - mag * mag)
+        visit(0, idx)
+        yield from solutions(idx + 1, residual)
 
-    return dfs(0, target)
+    def invert(found: list[tuple[int, ...]]) -> Iterator[TruthTable]:
+        """The solutions that are +/-1 tables, in order, by one butterfly."""
+        if not found:
+            return
+        vals = np.zeros((len(found), 1 << n), dtype=np.int64)
+        # packed coeff = x * 2**(n-k+1), at most 2**n in absolute value.
+        vals[:, masks] = np.array(found) << (n - k + 1)
+        _butterfly(vals)
+        # The butterfly applied twice multiplies by 2**n.
+        for i in np.flatnonzero((np.abs(vals) == (1 << n)).all(axis=1)):
+            yield TruthTable(n, _pack(vals[i] < 0))
+
+    # Solutions are inverted a batch of about 2**17 coefficients at a time;
+    # the batch found before the budget ran out is inverted before the error.
+    batch = max(1, (1 << 17) >> n)
+    pending: list[tuple[int, ...]] = []
+    try:
+        for solution in solutions(0, 4 ** (k - 1)):
+            pending.append(solution)
+            if len(pending) == batch:
+                yield from invert(pending)
+                pending = []
+    except SearchBudgetExceeded:
+        yield from invert(pending)
+        raise
+    yield from invert(pending)
 
 
 @dataclass(frozen=True)

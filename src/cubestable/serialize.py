@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any
 
 from ._util import indices_from_mask, mask_from_indices
-from .core import SparsePolynomial, TruthTable
+from .core import SparsePolynomial, TruthTable, _check_dimension
 from .group import SignedAutomorphism
 from .scenery import SceneryDistribution, Word
 
@@ -71,6 +71,7 @@ def function_from_json(doc: dict[str, Any]) -> TruthTable | SparsePolynomial:
         n = doc.get("n")
         if not isinstance(n, int):
             raise ValueError("truth-table document needs an integer n")
+        _check_dimension(n)
         text = doc.get("truth_table")
         if not isinstance(text, str) or len(text) != _hex_digits(n):
             raise ValueError(

@@ -18,6 +18,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable
 
+import numpy as np
+
 from ._util import chunk_ranges, indices_from_mask, parallel_map
 from .constructions import (
     complement,
@@ -26,15 +28,13 @@ from .constructions import (
     max_relevant_construct,
     uncoverable4,
 )
-from .core import TruthTable, evaluate_sparse
+from .core import TruthTable, _butterfly, _unpack, evaluate_sparse
 from .group import group_order
 from .kfunctions import (
     CountRecord,
     count_table,
     count_table_csv,
     enumerate_truth_tables,
-    is_k_function_direct,
-    is_k_function_spectral,
     uniform_flip_count,
 )
 from .scenery import distributions_equal, exact_scenery, markov_scenery
@@ -91,14 +91,22 @@ class _Context:
 def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
     total = 1 << 16
     pieces = chunk_ranges(total, 16)  # fixed split, whatever the pool size
+    levels = np.bitwise_count(np.arange(16))
 
     def scan(piece: tuple[int, int]) -> int:
+        lo, hi = piece
+        # Definitional route: the flip-count scan, table by table.
+        direct = np.array([uniform_flip_count(TruthTable(4, b)) for b in range(lo, hi)])
+        # Spectral route: one butterfly over the whole piece; row r is a
+        # k-function iff its support lies on level k.
+        tables = np.arange(lo, hi, dtype=np.uint64)
+        spectra = 1 - 2 * _unpack(tables, 4).astype(np.int64)
+        _butterfly(spectra)
+        support = spectra != 0
         bad = 0
-        for bits in range(piece[0], piece[1]):
-            f = TruthTable(4, bits)
-            for k in range(5):
-                if is_k_function_direct(f, k) != is_k_function_spectral(f, k):
-                    bad += 1
+        for k in range(5):
+            spectral = ~(support & (levels != k)).any(axis=1)
+            bad += int(((direct == k) != spectral).sum())
         return bad
 
     mismatches = sum(parallel_map(scan, pieces, ctx.threads))

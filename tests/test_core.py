@@ -48,7 +48,7 @@ def test_wht_constant_and_dictator():
 
 
 def test_wht_numpy_path_agrees_with_list_path():
-    # n = 13 is the first dimension routed through numpy.
+    # Round trip and Parseval at dimensions the exhaustive tests do not reach.
     rng = random.Random(7)
     for n in (12, 13, 14):
         bits = rng.getrandbits(1 << n)
@@ -74,8 +74,16 @@ def test_roundtrip_exhaustive_n4_sampled():
 def test_inverse_wht_rejects_non_boolean():
     coeffs = [0] * 4
     coeffs[0b01] = 2  # f = x1 / 2 on Q_2
-    with pytest.raises(NotBoolean):
-        cs.inverse_wht(cs.Spectrum(2, coeffs))
+    # Shifting every coefficient of f by 2**51 wraps an int64 butterfly back
+    # to f itself; a coefficient past int64 must not overflow either.
+    f = cs.TruthTable(13, random.Random(3).getrandbits(1 << 13))
+    shifted = [c + 2**51 for c in cs.wht(f).coeffs]
+    huge = [2**70] + [0] * ((1 << 13) - 1)
+    for spectrum in (
+        cs.Spectrum(2, coeffs), cs.Spectrum(13, shifted), cs.Spectrum(13, huge)
+    ):
+        with pytest.raises(NotBoolean):
+            cs.inverse_wht(spectrum)
 
 
 def test_level_k_coefficient_granularity():

@@ -137,6 +137,22 @@ def test_canonical_witness_reaches_representative():
         assert cs.apply(wit, f) == rep
 
 
+def test_canonical_witness_is_first_minimiser_in_group_order():
+    # canon prints the witness, so the tie-break between elements reaching
+    # the representative is part of the output: the first in group order.
+    rng = random.Random(14)
+    tables = [cs.TruthTable(n, b) for n in range(3) for b in range(1 << (1 << n))]
+    tables += [cs.TruthTable(3, rng.getrandbits(8)) for _ in range(10)]
+    tables += [cs.TruthTable(4, rng.getrandbits(16)) for _ in range(4)]
+    for f in tables:
+        # The value sequence ordered with +1 < -1.
+        first = min(
+            cs.group_elements(f.n),
+            key=lambda a: [-v for v in cs.apply(a, f).values()],
+        )
+        assert cs.canonical_form(f)[1] == first
+
+
 def test_canonical_dimension_ceiling():
     with pytest.raises(DimensionTooLarge):
         cs.canonical_form(cs.TruthTable.constant(8, 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cubestable as cs
+from cubestable import _util, kfunctions
 from cubestable.errors import (
     DimensionTooLarge,
     KOutOfRange,
@@ -102,6 +103,39 @@ def test_enumerate_threads_do_not_change_output():
     assert base == threaded
 
 
+def test_worker_count_is_capped(monkeypatch):
+    reference = list(cs.enumerate_truth_tables(4, 2))
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records the size, starts nothing."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    scans = []
+    scan = kfunctions._scan_range
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_util.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        kfunctions, "_scan_range", lambda *args: scans.append(args) or scan(*args)
+    )
+    assert _util.parallel_map(abs, [-1, -2, -3, -4, -5], 10**6) == [1, 2, 3, 4, 5]
+    assert _util.parallel_map(abs, [-1, -2], 10**6) == [1, 2]
+    assert pools == [4, 2]
+    assert list(cs.enumerate_truth_tables(4, 2, threads=10**6)) == reference
+    assert pools == [4, 2, 4] and len(scans) == 4
+
+
 def test_enumerate_dimension_guard():
     with pytest.raises(DimensionTooLarge):
         next(cs.enumerate_truth_tables(5, 2))
@@ -120,6 +154,25 @@ def test_spectral_rejects_k0_and_budget():
         cs.enumerate_spectral(3, 0)
     with pytest.raises(SearchBudgetExceeded):
         list(cs.enumerate_spectral(4, 2, node_budget=5))
+
+
+def test_spectral_budget_stop_yields_a_prefix():
+    full = [f.bits for f in cs.enumerate_spectral(4, 2)]
+    prefixes = set()
+    budget = 0
+    while True:
+        got = []
+        try:
+            for f in cs.enumerate_spectral(4, 2, node_budget=budget):
+                got.append(f.bits)
+        except SearchBudgetExceeded:
+            assert got == full[: len(got)]
+            prefixes.add(len(got))
+            budget += 1
+            continue
+        assert got == full
+        break
+    assert len(prefixes) > 2  # the budget stops the search at many depths
 
 
 def test_spectral_deterministic_order():

@@ -5,6 +5,8 @@ import pytest
 
 import cubestable as cs
 from cubestable import serialize
+from cubestable._util import mask_from_indices
+from cubestable.errors import DimensionTooLarge, IndexOverflow
 
 
 def test_truth_table_roundtrip():
@@ -65,6 +67,19 @@ def test_function_from_json_rejects_malformed():
     ]
     for doc in bad:
         with pytest.raises(ValueError):
+            serialize.function_from_json(doc)
+
+
+def test_function_from_json_bounds_before_allocating():
+    for n in (27, -1):
+        doc = {"encoding": "truth_table_hex", "n": n, "truth_table": "0"}
+        with pytest.raises(DimensionTooLarge):
+            serialize.function_from_json(doc)
+    for i in (0, 65):
+        with pytest.raises(IndexOverflow):
+            mask_from_indices([1, i])
+        doc = {"encoding": "sparse", "terms": [{"vars": [i], "num": 1, "log2_den": 0}]}
+        with pytest.raises(IndexOverflow):
             serialize.function_from_json(doc)
 
 
