@@ -12,28 +12,20 @@ from .errors import IndexOverflow
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variable consulted for the default worker count.
-THREADS_ENV = "CUBESTABLE_THREADS"
+
+def worker_cap(threads: int | None) -> int:
+    """The usable worker count for a thread budget: at most one per CPU,
+    and one per CPU when the budget is None."""
+    cpus = os.cpu_count() or 1
+    return max(1, cpus if threads is None else min(threads, cpus))
 
 
-def default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def worker_cap(threads: int) -> int:
-    """The usable worker count for a thread budget: at most one per CPU."""
-    return max(1, min(threads, os.cpu_count() or 1))
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
+def parallel_map(
+    fn: Callable[[T], R], items: Sequence[T], threads: int | None
+) -> list[R]:
     """map(fn, items) with results in input order.
 
-    At most min(threads, len(items), CPU count) workers run; with one, this
+    At most min(worker_cap(threads), len(items)) workers run; with one, this
     is a plain loop, otherwise a thread pool is used.  Results are collected
     in order either way, so callers stay deterministic whatever the worker
     count.

@@ -3,7 +3,7 @@
 One binary, eight subcommands: enumerate, table, canon, isomorphic,
 construct, sos, scenery, verify.  All outputs are machine-readable (JSON
 lines or CSV), all randomness flows from --seed, and identical invocations
-produce byte-identical streams whatever the thread budget.
+produce byte-identical streams.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or input error,
 3 exceeded search/memo budget.
@@ -16,7 +16,6 @@ import json
 import sys
 from typing import Any
 
-from ._util import default_threads
 from .constructions import (
     cover_check,
     lift_pair,
@@ -76,9 +75,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.method == "spectral":
         gen = enumerate_spectral(args.n, args.k, node_budget=args.budget_nodes)
     else:
-        gen = enumerate_truth_tables(
-            args.n, args.k, allow_large=args.allow_large, threads=args.threads
-        )
+        gen = enumerate_truth_tables(args.n, args.k, allow_large=args.allow_large)
     if args.emit == "jsonl":
         for f in gen:
             _emit(dumps(function_to_json(f)))
@@ -89,7 +86,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    records = count_table(args.n_max, threads=args.threads)
+    records = count_table(args.n_max)
     if args.out == "csv":
         sys.stdout.write(count_table_csv(records))
         return 0
@@ -242,14 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_threads(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=default_threads(),
-            help="worker budget (default: CUBESTABLE_THREADS or 1)",
-        )
-
     p = sub.add_parser("enumerate", help="list or count the k-functions on Q_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -257,13 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("jsonl",), default=None)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    add_threads(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table", help="exact F/G counts for all n <= n-max")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
-    add_threads(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("canon", help="canonical form and witness of a function")
@@ -305,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_threads(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

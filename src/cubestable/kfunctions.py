@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._util import chunk_ranges, parallel_map, worker_cap
-from .core import TruthTable, _butterfly, _pack, _unpack, wht
+from .core import TruthTable, _butterfly, _check_dimension, _pack, _unpack, wht
 from .errors import (
     DimensionTooLarge,
     KOutOfRange,
@@ -32,6 +33,14 @@ from .group import canonical_form
 
 #: Largest n for which exhaustive truth-table enumeration is offered at all.
 MAX_ENUMERATE_N = 5
+
+#: Tables per scan chunk; a chunk's unpacked tables take 2**n bytes each.
+_SCAN_CHUNK = 1 << 20
+
+#: Fewest tables handed to one scan worker.  At n <= 3 (at most 256 tables)
+#: starting a pool costs about 0.15 ms, several times the scan itself, so
+#: those scans run on the calling thread.
+_MIN_PIECE = 1 << 12
 
 
 def _check_k(n: int, k: int) -> None:
@@ -126,18 +135,16 @@ def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
 
 
 def enumerate_truth_tables(
-    n: int,
-    k: int,
-    *,
-    allow_large: bool = False,
-    threads: int = 1,
-    chunk_size: int = 1 << 20,
+    n: int, k: int, *, allow_large: bool = False, threads: int | None = None
 ) -> Iterator[TruthTable]:
     """All k-functions on Q_n by exhaustive scan, ascending by packed bits.
 
     The scan is over all 2**(2**n) tables, so n = 5 (a 2**32 scan, minutes
     of work) must be opted into with ``allow_large``; n > 5 is refused.
     For n = 5 prefer :func:`enumerate_spectral`.
+
+    Each chunk of the scan is split among at most ``threads`` workers, one
+    per CPU by default; the output never depends on the split.
     """
     _check_k(n, k)
     if n > MAX_ENUMERATE_N:
@@ -149,12 +156,12 @@ def enumerate_truth_tables(
             "n=5 scans 2**32 tables; pass allow_large=True to accept the cost"
         )
     total = 1 << (1 << n)
-    for lo in range(0, total, chunk_size):
-        hi = min(lo + chunk_size, total)
-        pieces = chunk_ranges(hi - lo, worker_cap(threads))
+    for lo in range(0, total, _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK, total)
+        workers = min(worker_cap(threads), (hi - lo) // _MIN_PIECE)
         found = parallel_map(
             lambda piece: _scan_range(n, k, lo + piece[0], lo + piece[1]),
-            pieces,
+            chunk_ranges(hi - lo, workers),
             threads,
         )
         for sub in found:
@@ -165,9 +172,7 @@ def enumerate_truth_tables(
 @lru_cache(maxsize=None)
 def _level_masks(n: int, k: int) -> tuple[int, ...]:
     """Level-k subset masks in lexicographic order of their index tuples."""
-    masks = [m for m in range(1 << n) if m.bit_count() == k]
-    masks.sort(key=lambda m: tuple(j for j in range(n) if (m >> j) & 1))
-    return tuple(masks)
+    return tuple(sum(1 << j for j in c) for c in combinations(range(n), k))
 
 
 def enumerate_spectral(
@@ -189,6 +194,7 @@ def enumerate_spectral(
     if k < 1:
         raise KOutOfRange("spectral search needs k >= 1; 0-functions are +/-1")
     _check_k(n, k)
+    _check_dimension(n)
     return _spectral_hits(n, k, node_budget)
 
 
@@ -279,9 +285,9 @@ def orbit_classes(tables: Sequence[TruthTable]) -> list[list[TruthTable]]:
     return [buckets[key] for key in sorted(buckets)]
 
 
-def _count_cell(n: int, k: int) -> CountRecord:
+def _count_cell(n: int, k: int, threads: int | None) -> CountRecord:
     if n <= 4:
-        tables = list(enumerate_truth_tables(n, k))
+        tables = list(enumerate_truth_tables(n, k, threads=threads))
         return CountRecord(n, k, len(tables), len(_orbit_buckets(tables)), "truth_table")
     # n = 5: a 2**32 truth-table scan is out; count through the spectrum.
     if k == 0:
@@ -291,11 +297,12 @@ def _count_cell(n: int, k: int) -> CountRecord:
     return CountRecord(n, k, count, None, "spectral")
 
 
-def count_table(n_max: int, *, threads: int = 1) -> list[CountRecord]:
+def count_table(n_max: int, *, threads: int | None = None) -> list[CountRecord]:
     """F and G for all 0 <= k <= n <= n_max, ordered by (n, k).
 
     F is exact everywhere; G (class counts) is computed for n <= 4 and left
-    None beyond, where orbit classification is not attempted.
+    None beyond, where orbit classification is not attempted.  ``threads``
+    is the worker budget of each truth-table scan.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -303,8 +310,9 @@ def count_table(n_max: int, *, threads: int = 1) -> list[CountRecord]:
         raise DimensionTooLarge(
             f"count_table supports n_max <= {MAX_ENUMERATE_N}, got {n_max}"
         )
-    cells = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
-    return parallel_map(lambda cell: _count_cell(*cell), cells, threads)
+    return [
+        _count_cell(n, k, threads) for n in range(n_max + 1) for k in range(n + 1)
+    ]
 
 
 def count_table_csv(records: Sequence[CountRecord]) -> str:

@@ -23,6 +23,9 @@ from .errors import BudgetExceeded, KOutOfRange, ShapeMismatch, ZeroDimension
 #: Ceiling on the number of steps (word space 2**(L+1)).
 MAX_STEPS = 12
 
+#: Ceiling on 2**n * 2**(L+1), the vertex-word cells the exact DP may hold.
+MAX_DP_CELLS = 1 << 20
+
 Word = tuple[int, ...]
 
 
@@ -68,6 +71,8 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     Per surviving word prefix the DP carries the vector of unnormalized
     weights P(prefix read, walk now at v), scaled by 2**n * n**step so all
     entries stay integers; Fractions appear only in the final summation.
+    Raises :class:`BudgetExceeded` if L > MAX_STEPS, or if the DP could
+    hold more than MAX_DP_CELLS vertex-word cells, before any work.
     """
     if f.n < 1:
         raise ZeroDimension("the walk needs at least one coordinate to move")
@@ -77,6 +82,10 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
         raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
     n = f.n
     size = 1 << n
+    if size << (L + 1) > MAX_DP_CELLS:
+        raise BudgetExceeded(
+            f"2**{n} vertices x 2**{L + 1} words exceeds the {MAX_DP_CELLS}-cell ceiling"
+        )
     values = f.values()
     # step 0: weight 1 on every vertex, split by the letter read there.
     state: dict[Word, list[int]] = {}

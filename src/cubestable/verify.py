@@ -1,10 +1,9 @@
 """The self-check suite behind the ``verify`` CLI subcommand.
 
 Twelve checks, each a single JSON line {"criterion", "name", "status",
-"detail"}.  The report is byte-identical whatever the thread budget: the
-suite always runs its checks under worker budgets 1 and 8 and the final
-criterion compares the two renders, so the emitted stream never depends on
-the caller's thread flag.  Wall-clock ceilings are enforced on the three
+"detail"}.  Criteria 1..11 run twice, with the truth-table scans under
+worker budgets 1 and 8, and the final criterion compares the two renders
+byte for byte.  Wall-clock ceilings are enforced on the three
 slow checks but timings are only ever printed on failure, keeping the pass
 output deterministic.
 """
@@ -20,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import chunk_ranges, indices_from_mask, parallel_map
+from ._util import indices_from_mask
 from .constructions import (
     complement,
     cover_check,
@@ -67,7 +66,10 @@ def render_line(r: CriterionResult) -> str:
 
 
 class _Context:
-    """Shared enumeration caches so criteria do not redo each other's work."""
+    """Shared enumeration caches so criteria do not redo each other's work.
+
+    ``threads`` is the worker budget of the truth-table scans behind them.
+    """
 
     def __init__(self, seed: int, threads: int):
         self.seed = seed
@@ -90,11 +92,10 @@ class _Context:
 
 def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
     total = 1 << 16
-    pieces = chunk_ranges(total, 16)  # fixed split, whatever the pool size
+    piece = 1 << 12
     levels = np.bitwise_count(np.arange(16))
 
-    def scan(piece: tuple[int, int]) -> int:
-        lo, hi = piece
+    def scan(lo: int, hi: int) -> int:
         # Definitional route: the flip-count scan, table by table.
         direct = np.array([uniform_flip_count(TruthTable(4, b)) for b in range(lo, hi)])
         # Spectral route: one butterfly over the whole piece; row r is a
@@ -109,7 +110,7 @@ def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
             bad += int(((direct == k) != spectral).sum())
         return bad
 
-    mismatches = sum(parallel_map(scan, pieces, ctx.threads))
+    mismatches = sum(scan(lo, lo + piece) for lo in range(0, total, piece))
     if mismatches:
         return False, f"{mismatches} of 65536 tables disagree between routes"
     return True, "all 65536 tables on Q_4 agree for every k in 0..4"
@@ -240,8 +241,7 @@ def _c9_upper_bound(ctx: _Context) -> tuple[bool, str]:
 def _c10_scenery(ctx: _Context) -> tuple[bool, str]:
     twos = ctx.kfn(4, 2)
     ref = markov_scenery(4, 2, 6)
-    dists = parallel_map(lambda f: exact_scenery(f, 6), twos, ctx.threads)
-    same = sum(1 for d in dists if distributions_equal(d, ref))
+    same = sum(1 for f in twos if distributions_equal(exact_scenery(f, 6), ref))
     if same != len(twos):
         return False, f"only {same}/{len(twos)} sceneries match the closed form"
     one = exact_scenery(ctx.kfn(4, 1)[0], 2)
@@ -311,8 +311,8 @@ def run_criterion(number: int, ctx: _Context) -> CriterionResult:
 
 
 def run_criteria(seed: int, threads: int) -> list[CriterionResult]:
-    """Criteria 1..11 in order under one worker budget, stopping at the
-    first failure."""
+    """Criteria 1..11 in order with the truth-table scans under one worker
+    budget, stopping at the first failure."""
     ctx = _Context(seed, threads)
     results = []
     for num, _, _ in _CRITERIA:
@@ -326,10 +326,9 @@ def run_criteria(seed: int, threads: int) -> list[CriterionResult]:
 def run_verify(seed: int) -> tuple[str, int]:
     """The full 12-criterion report and its exit code.
 
-    Criteria 1..11 run under a single-worker budget; if all pass they run
-    again under an 8-worker budget and criterion 12 compares the two
-    rendered reports byte for byte.  The emitted report therefore never
-    varies with the caller's thread settings.
+    Criteria 1..11 run with single-worker truth-table scans; if all pass
+    they run again with 8-worker scans and criterion 12 compares the two
+    rendered reports byte for byte.
     """
     first = run_criteria(seed, threads=1)
     lines = [render_line(r) for r in first]

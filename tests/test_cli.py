@@ -3,7 +3,7 @@ import json
 import pytest
 
 import cubestable as cs
-from cubestable import cli, serialize
+from cubestable import _util, cli, serialize
 
 
 def run(capsys, argv):
@@ -41,27 +41,21 @@ def test_enumerate_methods_agree(capsys):
     assert json.loads(table_out)["F"] == json.loads(spectral_out)["F"]
 
 
-def test_enumerate_thread_budget_is_invisible(capsys):
+def test_scan_worker_count_is_invisible(capsys, monkeypatch):
+    argvs = (
+        ["enumerate", "--n", "4", "--k", "2", "--emit", "jsonl"],
+        ["table", "--n-max", "3"],
+    )
     outs = []
-    for threads in ("1", "8"):
-        code, out, _ = run(
-            capsys,
-            ["enumerate", "--n", "4", "--k", "2", "--emit", "jsonl",
-             "--threads", threads],
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
-def test_threads_env_default(capsys, monkeypatch):
-    outs = []
-    for env in ("1", "8"):
-        monkeypatch.setenv("CUBESTABLE_THREADS", env)
-        code, out, _ = run(capsys, ["enumerate", "--n", "3", "--k", "2", "--emit", "jsonl"])
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+    for cpus in (1, 4):
+        monkeypatch.setattr(_util.os, "cpu_count", lambda: cpus)
+        for argv in argvs:
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            outs.append(out)
+    assert outs[:2] == outs[2:]
+    code, _, _ = run(capsys, ["enumerate", "--n", "4", "--k", "2", "--threads", "2"])
+    assert code == 2
 
 
 def test_table_csv(capsys):
@@ -232,6 +226,13 @@ def test_budget_exit_codes(capsys, tmp_path, two_function_q4):
 
 def test_input_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["enumerate", "--n", "9", "--k", "1"])
+    assert code == 2
+    assert json.loads(err)["error"] == "DimensionTooLarge"
+    code, _, err = run(
+        capsys,
+        ["enumerate", "--n", "27", "--k", "1", "--method", "spectral",
+         "--budget-nodes", "1"],
+    )
     assert code == 2
     assert json.loads(err)["error"] == "DimensionTooLarge"
     code, _, err = run(capsys, ["canon", "--f", str(tmp_path / "missing.json")])

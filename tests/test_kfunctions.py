@@ -98,7 +98,7 @@ def test_enumerate_ascending_and_distinct(kfn):
 
 
 def test_enumerate_threads_do_not_change_output():
-    base = list(cs.enumerate_truth_tables(4, 2))
+    base = list(cs.enumerate_truth_tables(4, 2, threads=1))
     threaded = list(cs.enumerate_truth_tables(4, 2, threads=8))
     assert base == threaded
 
@@ -154,6 +154,20 @@ def test_spectral_rejects_k0_and_budget():
         cs.enumerate_spectral(3, 0)
     with pytest.raises(SearchBudgetExceeded):
         list(cs.enumerate_spectral(4, 2, node_budget=5))
+
+
+def test_spectral_dimension_guard_is_eager():
+    for n in (27, 64):
+        with pytest.raises(DimensionTooLarge):
+            cs.enumerate_spectral(n, 1)
+
+
+def test_level_masks_in_lexicographic_order():
+    for n in range(9):
+        for k in range(n + 1):
+            masks = [m for m in range(1 << n) if m.bit_count() == k]
+            masks.sort(key=lambda m: tuple(j for j in range(n) if (m >> j) & 1))
+            assert kfunctions._level_masks(n, k) == tuple(masks)
 
 
 def test_spectral_budget_stop_yields_a_prefix():

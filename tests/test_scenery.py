@@ -97,6 +97,18 @@ def test_argument_guards():
         cs.markov_scenery(3, 1, 13)
 
 
+def test_exact_scenery_cell_ceiling(monkeypatch):
+    allowed = cs.exact_scenery(cs.TruthTable.constant(4, 1), 12)
+    assert allowed.probs == {(1,) * 13: 1}
+
+    def refuse(self):
+        raise AssertionError("values() reached past the ceiling")
+
+    monkeypatch.setattr(cs.TruthTable, "values", refuse)
+    with pytest.raises(BudgetExceeded):
+        cs.exact_scenery(cs.TruthTable.constant(20, 1), 0)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         SceneryDistribution(2, 1, {(1, 0): Fraction(1)})
