@@ -41,21 +41,35 @@ def test_enumerate_methods_agree(capsys):
     assert json.loads(table_out)["F"] == json.loads(spectral_out)["F"]
 
 
-def test_scan_worker_count_is_invisible(capsys, monkeypatch):
-    argvs = (
-        ["enumerate", "--n", "4", "--k", "2", "--emit", "jsonl"],
-        ["table", "--n-max", "3"],
-    )
+def test_enumerate_thread_budget_is_invisible(capsys, monkeypatch):
+    argv = ["enumerate", "--n", "4", "--k", "2", "--emit", "jsonl"]
     outs = []
     for cpus in (1, 4):
         monkeypatch.setattr(_util.os, "cpu_count", lambda: cpus)
-        for argv in argvs:
-            code, out, _ = run(capsys, argv)
-            assert code == 0
-            outs.append(out)
-    assert outs[:2] == outs[2:]
-    code, _, _ = run(capsys, ["enumerate", "--n", "4", "--k", "2", "--threads", "2"])
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, _, _ = run(capsys, argv + ["--threads", "2"])
     assert code == 2
+
+
+def test_threads_env_default(capsys, monkeypatch):
+    # The scan's default is one worker per CPU; the former CUBESTABLE_THREADS
+    # variable moves neither the worker count nor the output.
+    monkeypatch.setattr(_util.os, "cpu_count", lambda: 4)
+    outs = []
+    for env in ("1", "8"):
+        monkeypatch.setenv("CUBESTABLE_THREADS", env)
+        assert _util.worker_cap(None) == 4
+        code, out, _ = run(capsys, ["table", "--n-max", "3"])
+        assert code == 0
+        outs.append(out)
+    monkeypatch.setattr(_util.os, "cpu_count", lambda: 1)
+    code, out, _ = run(capsys, ["table", "--n-max", "3"])
+    assert code == 0
+    outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_table_csv(capsys):
