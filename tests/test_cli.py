@@ -249,6 +249,12 @@ def test_input_exit_codes(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(err)["error"] == "DimensionTooLarge"
+    code, _, err = run(
+        capsys,
+        ["canon", "--f", write_function(tmp_path, "q8.json", cs.TruthTable(8, 0))],
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "DimensionTooLarge"
     code, _, err = run(capsys, ["canon", "--f", str(tmp_path / "missing.json")])
     assert code == 2
     bad = tmp_path / "bad.json"

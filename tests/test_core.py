@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cubestable as cs
+from cubestable import serialize
 from cubestable.errors import (
     DimensionTooLarge,
     IndexOverflow,
@@ -136,6 +137,70 @@ def test_evaluate_sparse_agrees_with_truth_table():
         v = rng.randrange(8)
         point = {i + 1: 1 - 2 * ((v >> i) & 1) for i in range(3)}
         assert cs.evaluate_sparse(p, point) == f.value(v)
+
+
+def fraction_evaluate(p: cs.SparsePolynomial, assignment) -> Fraction:
+    """One Fraction per term: the reference for the integer sum."""
+    total = Fraction(0)
+    for mask, (num, a) in p.terms.items():
+        sign = 1
+        for i, val in assignment.items():
+            if mask >> (i - 1) & 1 and val == -1:
+                sign = -sign
+        total += Fraction(sign * num, 1 << a)
+    return total
+
+
+def fraction_parseval(p: cs.SparsePolynomial) -> Fraction:
+    total = Fraction(0)
+    for num, a in p.terms.values():
+        total += Fraction(num * num, 1 << (2 * a))
+    return total
+
+
+def random_sparse(rng: random.Random) -> cs.SparsePolynomial:
+    """Up to 12 terms with log2_den 0..8, either sign, masks up to bit 63."""
+    terms = {}
+    for _ in range(rng.randrange(13)):
+        mask = rng.getrandbits(64) if rng.random() < 0.5 else rng.getrandbits(6)
+        terms[mask] = (rng.choice((-1, 1)) * rng.randrange(1, 300), rng.randrange(9))
+    return cs.SparsePolynomial(terms)
+
+
+def test_sparse_integer_sums_match_fraction_reference():
+    rng = random.Random(20261018)
+    fixed = [
+        cs.SparsePolynomial.zero(),
+        cs.SparsePolynomial.constant(-7),
+        cs.SparsePolynomial.constant(3, 2),  # 3/4, not +/-1
+        cs.SparsePolynomial({1 << 63: (-5, 8), 0b1: (1, 0), 0: (3, 3)}),
+    ]
+    polys = fixed + [random_sparse(rng) for _ in range(300)]
+    for p in polys:
+        assert p.parseval_sum() == fraction_parseval(p)
+        for _ in range(5):
+            point = {i: rng.choice((1, -1)) for i in range(1, 65)}
+            assert cs.evaluate_sparse(p, point) == fraction_evaluate(p, point)
+    assert cs.evaluate_sparse(fixed[0], {}) == 0
+    assert cs.evaluate_sparse(fixed[2], {}) == Fraction(3, 4)
+
+
+def test_sparse_integer_cache_is_invisible():
+    p = cs.SparsePolynomial({0b101: (3, 2), 1 << 63: (-1, 1), 0: (1, 0)})
+    fresh = cs.SparsePolynomial(dict(p.terms))
+    before = (hash(p), repr(p), serialize.function_to_json(p))
+    point = {i: -1 for i in range(1, 65)}
+    assert cs.evaluate_sparse(p, point) == fraction_evaluate(p, point)
+    assert p.parseval_sum() == fraction_parseval(p)
+    assert p == fresh and fresh == p
+    assert (hash(p), repr(p), serialize.function_to_json(p)) == before
+    with pytest.raises(MissingVariable):
+        cs.evaluate_sparse(p, {1: 1, 3: 1})
+    for bad in (0, 65):
+        with pytest.raises(IndexOverflow):
+            cs.evaluate_sparse(p, {**point, bad: 1})
+    with pytest.raises(ValueError):
+        cs.evaluate_sparse(p, {**point, 2: 0})
 
 
 def test_sparse_normalization_and_equality():
