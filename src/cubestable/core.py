@@ -65,7 +65,7 @@ class TruthTable:
     ``bits`` has bit v set iff f(v) = -1, so the all-+1 constant is 0.
     """
 
-    __slots__ = ("n", "bits", "_spectrum", "_uniform_flip")
+    __slots__ = ("n", "bits", "_spectrum")
 
     n: int
     bits: int
@@ -78,9 +78,6 @@ class TruthTable:
         self.n = n
         self.bits = bits
         self._spectrum: Spectrum | None = None
-        # Filled by cubestable.kfunctions: the common flip count if every
-        # vertex has the same number of disagreeing neighbours, else -1.
-        self._uniform_flip: int | None = None
 
     @classmethod
     def constant(cls, n: int, value: int = 1) -> "TruthTable":

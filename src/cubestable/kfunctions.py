@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._util import chunk_ranges, parallel_map, worker_cap
-from .core import TruthTable, _butterfly, _check_dimension, _pack, _unpack, wht
+from .core import TruthTable, _butterfly, _check_dimension, _pack, wht
 from .errors import (
     DimensionTooLarge,
     KOutOfRange,
@@ -34,7 +34,7 @@ from .group import canonical_form
 #: Largest n for which exhaustive truth-table enumeration is offered at all.
 MAX_ENUMERATE_N = 5
 
-#: Tables per scan chunk; a chunk's unpacked tables take 2**n bytes each.
+#: Tables per scan chunk; the scan holds a few uint64 words per table.
 _SCAN_CHUNK = 1 << 20
 
 #: Fewest tables handed to one scan worker.  At n <= 3 (at most 256 tables)
@@ -63,43 +63,40 @@ def _half_mask(n: int, j: int) -> int:
     return TruthTable.character(n, 1 << j).bits ^ ((1 << (1 << n)) - 1)
 
 
+def _flip_planes(bits: int | np.ndarray, n: int) -> list:
+    """Per-vertex flip counts as bit planes, summed by a carry-save adder:
+    plane i holds the vertices whose count has bit i set.
+
+    ``bits`` is one packed table (an int, any n) or a uint64 array of them
+    (n <= 6, one table per entry); the same shifts and masks serve both.
+    """
+    planes = []
+    for j in range(n):
+        b = 1 << j
+        d = bits >> b
+        d ^= bits
+        d &= _half_mask(n, j)
+        carry = d | (d << b)
+        for i, p in enumerate(planes):
+            planes[i] = p ^ carry
+            carry &= p
+        # Counts reach j + 1 now, which may need one more plane.
+        if (j + 1).bit_length() > len(planes):
+            planes.append(carry)
+    return planes
+
+
 def uniform_flip_count(f: TruthTable) -> int:
     """The common flip count if f is a k-function for some k, else -1.
 
     A table can be a k-function for at most one k, so this single scan
-    answers is_k_function_direct for every k at once.  Cached on the table.
+    answers is_k_function_direct for every k at once.
     """
-    if f._uniform_flip is not None:
-        return f._uniform_flip
-    n = f.n
-    size = 1 << n
-    full = (1 << size) - 1
-    bits = f.bits
-    # Per-vertex flip counts, kept as bit planes via a carry-save adder:
-    # planes[i] holds the vertices whose count has bit i set.
-    planes: list[int] = []
-    for j in range(n):
-        b = 1 << j
-        d = (bits ^ (bits >> b)) & _half_mask(n, j)
-        carry = d | (d << b)
-        i = 0
-        while carry:
-            if i == len(planes):
-                planes.append(carry)
-                break
-            s = planes[i] ^ carry
-            carry &= planes[i]
-            planes[i] = s
-            i += 1
-    k = 0
-    for i, p in enumerate(planes):
-        if p == full:
-            k |= 1 << i
-        elif p:
-            f._uniform_flip = -1
-            return -1
-    f._uniform_flip = k
-    return k
+    full = (1 << (1 << f.n)) - 1
+    planes = _flip_planes(f.bits, f.n)
+    if any(p not in (0, full) for p in planes):
+        return -1
+    return sum(1 << i for i, p in enumerate(planes) if p)
 
 
 def is_k_function_direct(f: TruthTable, k: int) -> bool:
@@ -124,14 +121,12 @@ def p_parameter(n: int, k: int) -> Fraction:
 
 def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
     """Truth-table ints in [start, stop) that are k-functions, ascending."""
-    cand = np.arange(start, stop, dtype=np.uint64)
-    bits = _unpack(cand, n)
-    vertices = np.arange(1 << n)
-    counts = np.zeros_like(bits)
-    for j in range(n):
-        counts += bits ^ bits[:, vertices ^ (1 << j)]
-    ok = (counts == k).all(axis=1)
-    return [int(c) for c in cand[ok]]
+    tables = np.arange(start, stop, dtype=np.uint64)
+    full = (1 << (1 << n)) - 1
+    ok = np.ones(len(tables), dtype=bool)
+    for i, p in enumerate(_flip_planes(tables, n)):
+        ok &= p == (full if (k >> i) & 1 else 0)
+    return tables[ok].tolist()
 
 
 def enumerate_truth_tables(
@@ -139,8 +134,8 @@ def enumerate_truth_tables(
 ) -> Iterator[TruthTable]:
     """All k-functions on Q_n by exhaustive scan, ascending by packed bits.
 
-    The scan is over all 2**(2**n) tables, so n = 5 (a 2**32 scan, minutes
-    of work) must be opted into with ``allow_large``; n > 5 is refused.
+    The scan covers all 2**(2**n) tables, so n = 5 (2**32 tables, 7 min on one
+    core) must be opted into with ``allow_large``; n > 5 is refused.
     For n = 5 prefer :func:`enumerate_spectral`.
 
     Each chunk of the scan is split among at most ``threads`` workers, one

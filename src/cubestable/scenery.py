@@ -129,13 +129,11 @@ def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:
         raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
     flip = Fraction(k, n)
     stay = 1 - flip
+    # P(w) depends only on the number c of sign changes in w.
+    by_changes = [flip**c * stay ** (L - c) / 2 for c in range(L + 1)]
     probs: dict[Word, Fraction] = {}
     for word in product((1, -1), repeat=L + 1):
-        p = Fraction(1, 2)
-        for prev, cur in zip(word, word[1:]):
-            p *= flip if cur != prev else stay
-            if not p:
-                break
+        p = by_changes[sum(a != b for a, b in zip(word, word[1:]))]
         if p:
             probs[word] = p
     return SceneryDistribution(n, L, probs)

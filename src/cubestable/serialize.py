@@ -69,7 +69,8 @@ def function_from_json(doc: dict[str, Any]) -> TruthTable | SparsePolynomial:
     encoding = doc.get("encoding")
     if encoding == TRUTH_TABLE_ENCODING:
         n = doc.get("n")
-        if not isinstance(n, int):
+        # type(), not isinstance(): JSON true is a bool, and bool is an int.
+        if type(n) is not int:
             raise ValueError("truth-table document needs an integer n")
         _check_dimension(n)
         text = doc.get("truth_table")
@@ -89,10 +90,13 @@ def function_from_json(doc: dict[str, Any]) -> TruthTable | SparsePolynomial:
         terms: dict[int, tuple[int, int]] = {}
         for entry in raw:
             try:
-                mask = mask_from_indices(entry["vars"])
-                pair = (int(entry["num"]), int(entry["log2_den"]))
+                fields = entry["num"], entry["log2_den"], *entry["vars"]
             except (TypeError, KeyError):
                 raise ValueError(f"malformed sparse term {entry!r}") from None
+            if any(type(x) is not int for x in fields):
+                raise ValueError(f"non-integer number in sparse term {entry!r}")
+            mask = mask_from_indices(entry["vars"])
+            pair = (entry["num"], entry["log2_den"])
             if len(set(entry["vars"])) != len(entry["vars"]):
                 raise ValueError(f"duplicate variables in term {entry!r}")
             if mask in terms:

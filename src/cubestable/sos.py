@@ -41,7 +41,8 @@ def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosRes
     """
     _check_args(q, t)
     if q * t > memo_limit:
-        raise BudgetExceeded(f"q*t = {q * t} exceeds memo limit {memo_limit}")
+        # No q*t in the message: past 4,300 digits str() of it raises.
+        raise BudgetExceeded(f"q*t exceeds memo limit {memo_limit}")
     # row[r] = S(r, t') for the current t', starting from t' = 0.
     row = [1] + [0] * q
     for _ in range(t):
@@ -144,6 +145,9 @@ def f_upper_bound(
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
+    # q = 4**(k-1) alone is over the limit; refuse a huge k before 4**(k-1).
+    if k - 1 > memo_limit.bit_length() or 4 ** (k - 1) > memo_limit:
+        raise BudgetExceeded(f"q = 4**{k - 1} exceeds memo limit {memo_limit}")
     bound = sos_count(4 ** (k - 1), comb(n, k), memo_limit=memo_limit).count
     if check_enumerable and n <= 4:
         from .kfunctions import enumerate_truth_tables

@@ -5,6 +5,7 @@ enumeration caches are reused; criterion 12 runs the CLI's ``verify`` once,
 which itself compares its passes under worker budgets 1 and 8 byte for byte.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,9 @@ from cubestable import cli
 from cubestable.verify import _Context, render_line, run_criterion
 
 SEED = 42
+
+#: SHA-256 of the full ``verify --seed 42`` stdout.
+VERIFY_SHA256 = "67734fb14c44e2ee6431198f0c9fd1923e9f23ab13322939bb1520ddf20ab2ad"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +79,8 @@ def test_criterion_12_thread_determinism(capsys):
     code = cli.main(["verify", "--seed", str(SEED)])
     out = capsys.readouterr().out
     assert code == 0, out
+    # The whole report is pinned byte for byte.
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
     line = out.splitlines()[11]
     print(line)
     assert json.loads(line) == {

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -262,6 +263,19 @@ def test_input_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["canon", "--f", str(bad)])
     assert code == 2
     assert json.loads(err)["error"] == "JSONDecodeError"
+    # 1.5 * x_1 must not be truncated to x_1.
+    bad.write_text(json.dumps({"encoding": "sparse", "n": 1, "terms": [
+        {"vars": [1], "num": 1.5, "log2_den": 0}]}))
+    code, _, err = run(capsys, ["canon", "--f", str(bad)])
+    assert code == 2
+    assert json.loads(err)["error"] == "ValueError"
+    # Refused from k alone, before 4**(k-1) or C(n, k) is computed.
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, ["sos", "--f-bound", "--n", "1000000", "--k", "500000"]
+    )
+    assert code == 3 and time.perf_counter() - start < 1
+    assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 def test_usage_exit_code_from_argparse(capsys):

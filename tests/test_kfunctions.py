@@ -49,6 +49,38 @@ def test_uniform_flip_count_values():
     assert cs.uniform_flip_count(cs.TruthTable(2, 0b1000)) == -1
 
 
+def _reference_flip_count(f):
+    """The common per-vertex flip_count of f, or -1 if the counts differ."""
+    first = cs.flip_count(f, 0)
+    same = all(cs.flip_count(f, v) == first for v in range(1, 1 << f.n))
+    return first if same else -1
+
+
+def test_flip_planes_on_int_and_array_tables():
+    # The int path against the per-vertex reference, every table at n <= 3.
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            f = cs.TruthTable(n, bits)
+            assert cs.uniform_flip_count(f) == _reference_flip_count(f)
+    # The int path against the array path, every table at n = 4.
+    counts = [cs.uniform_flip_count(cs.TruthTable(4, b)) for b in range(1 << 16)]
+    for k in range(5):
+        hits = kfunctions._scan_range(4, k, 0, 1 << 16)
+        assert hits == [b for b, c in enumerate(counts) if c == k]
+    # The array path against the reference at n = 5 and 6 (where a table
+    # fills all 64 bits of a word), on 4,096-table windows around known
+    # 2-functions: the first, a middle one and the last by packed bits.
+    for n in (5, 6):
+        known = sorted(f.bits for f in cs.enumerate_spectral(n, 2))
+        for t in (known[0], known[len(known) // 2], known[-1]):
+            lo = t - t % 4096
+            window = range(lo, lo + 4096)
+            ref = [_reference_flip_count(cs.TruthTable(n, b)) for b in window]
+            for k in range(n + 1):
+                hits = kfunctions._scan_range(n, k, lo, lo + 4096)
+                assert hits == [b for b, c in zip(window, ref) if c == k]
+
+
 def test_k_range_validation():
     f = cs.TruthTable.constant(2, 1)
     with pytest.raises(KOutOfRange):

@@ -64,7 +64,22 @@ def test_function_from_json_rejects_malformed():
                 {"vars": [1], "num": -1, "log2_den": 0},
             ],
         },
+        {"encoding": "truth_table_hex", "n": True, "truth_table": "1"},
+        {"encoding": "truth_table_hex", "n": 2.0, "truth_table": "f"},
     ]
+    # Numbers that are not JSON integers, where int() would truncate or
+    # coerce them.
+    for term in [
+        {"vars": [1], "num": 1.5, "log2_den": 0},
+        {"vars": [1], "num": 0.5, "log2_den": 0},
+        {"vars": [1], "num": 1, "log2_den": 0.9},
+        {"vars": [1], "num": "1", "log2_den": 0},
+        {"vars": [1], "num": True, "log2_den": 0},
+        {"vars": [1.0], "num": 1, "log2_den": 0},
+        {"vars": [True], "num": 1, "log2_den": 0},
+        {"vars": "1", "num": 1, "log2_den": 0},
+    ]:
+        bad.append({"encoding": "sparse", "terms": [term]})
     for doc in bad:
         with pytest.raises(ValueError):
             serialize.function_from_json(doc)

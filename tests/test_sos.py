@@ -46,6 +46,9 @@ def test_budgets():
     with pytest.raises(BudgetExceeded):
         cs.sos_count(1000, 1000, memo_limit=10)
     with pytest.raises(BudgetExceeded):
+        # q*t has more than the 4,300 digits str() accepts.
+        cs.sos_count(10**4000, 10**400)
+    with pytest.raises(BudgetExceeded):
         cs.sos_bruteforce(100, 30)
 
 
