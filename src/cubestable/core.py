@@ -26,7 +26,7 @@ observable value), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -187,6 +187,22 @@ def _normalize_term(num: int, log2_den: int) -> tuple[int, int]:
     return num, log2_den
 
 
+class _IntegerForm(NamedTuple):
+    """A polynomial's terms grouped by their numerator at the scale 2**top.
+
+    The terms whose coefficient is ``values[g] / 2**top`` are the
+    ``sizes[g]`` masks from ``masks[starts[g]]`` on.  ``values`` holds
+    Python ints (an object array), so no numerator is ever narrowed.
+    """
+
+    top: int
+    masks: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    relevant: int
+
+
 class SparsePolynomial:
     """A multilinear polynomial over x_1..x_64 with dyadic coefficients.
 
@@ -214,7 +230,7 @@ class SparsePolynomial:
             if num:
                 clean[mask] = (num, log2_den)
         self.terms = clean
-        self._scaled: tuple[int, tuple[tuple[int, int], ...], int] | None = None
+        self._scaled: _IntegerForm | None = None
 
     @classmethod
     def zero(cls) -> "SparsePolynomial":
@@ -249,8 +265,8 @@ class SparsePolynomial:
             out |= m
         return out
 
-    def _integer_form(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
-        """``(top, ((mask, num_S), ...), relevant mask)``, cached.
+    def _integer_form(self) -> _IntegerForm:
+        """The coefficients as integers at one scale, grouped by value; cached.
 
         ``top`` is the largest log2_den (0 for no terms) and each
         coefficient is exactly ``num_S / 2**top``, so sums over terms stay in
@@ -258,16 +274,25 @@ class SparsePolynomial:
         """
         if self._scaled is None:
             top = max((a for _, a in self.terms.values()), default=0)
-            scaled = tuple(
-                (m, num << (top - a)) for m, (num, a) in self.terms.items()
+            groups: dict[int, list[int]] = {}
+            for m, (num, a) in self.terms.items():
+                groups.setdefault(num << (top - a), []).append(m)
+            sizes = np.array([len(ms) for ms in groups.values()], dtype=np.int64)
+            self._scaled = _IntegerForm(
+                top,
+                np.array([m for ms in groups.values() for m in ms], dtype=np.uint64),
+                np.array(list(groups), dtype=object),
+                np.cumsum(sizes) - sizes,
+                sizes,
+                self.relevant_mask(),
             )
-            self._scaled = (top, scaled, self.relevant_mask())
         return self._scaled
 
     def parseval_sum(self) -> Fraction:
         """sum of squared coefficients, exactly."""
-        top, scaled, _ = self._integer_form()
-        return Fraction(sum(num * num for _, num in scaled), 1 << (2 * top))
+        form = self._integer_form()
+        total = sum(v * v * s for v, s in zip(form.values, form.sizes.tolist()))
+        return Fraction(total, 1 << (2 * form.top))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if not isinstance(other, SparsePolynomial):
@@ -434,12 +459,44 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
     return frozenset(i + 1 for i in range(union.bit_length()) if (union >> i) & 1)
 
 
+#: Entries (points x terms) in one piece of :func:`_sparse_numerators`, so
+#: each uint64 temporary stays near 0.5 MB.
+_SPARSE_PIECE = 1 << 16
+
+
+def _sparse_numerators(p: SparsePolynomial, neg: np.ndarray) -> list[int]:
+    """``2**top * p`` at each point, exactly, as Python ints.
+
+    ``neg`` is a uint64 array with one point per entry: bit j set means
+    x_{j+1} = -1.  Term S is negated at a point iff ``popcount(S & neg)`` is
+    odd.  Within a class of ``size`` terms sharing one scaled numerator v,
+    with ``odd`` of them negated, the class contributes v * (size - 2*odd).
+    The counts are at most the term count, so int64 holds them; the products
+    with v and the sum over classes are Python ints, so the result is exact
+    however large the numerators are.
+    """
+    form = p._integer_form()
+    if not len(form.values):
+        return [0] * len(neg)
+    rows = max(1, _SPARSE_PIECE // len(form.masks))
+    out: list[int] = []
+    for lo in range(0, len(neg), rows):
+        parity = np.bitwise_count(neg[lo : lo + rows, None] & form.masks) & 1
+        odd = np.add.reduceat(parity, form.starts, axis=1, dtype=np.int64)
+        out += ((form.sizes - 2 * odd).astype(object) @ form.values).tolist()
+    return out
+
+
 def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fraction:
     """Evaluate p at a +/-1 point given as {variable index: value}.
 
     Every relevant variable must be assigned; extra assignments are ignored.
-    The terms are summed as integers at the common scale 2**top, top being
-    p's largest log2_den, and the one Fraction is built at the return.
+    The point goes through :func:`_sparse_numerators` as a one-entry batch:
+    terms are grouped by their numerator at the common scale 2**top (top
+    being p's largest log2_den), each group's sign changes are counted with
+    popcounts, and the count-weighted sum is taken in Python ints, so it is
+    exact without any bound on the numerators.  The one Fraction is built
+    at the return.
     """
     neg = 0
     given = 0
@@ -452,18 +509,13 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
         given |= bit
         if val == -1:
             neg |= bit
-    top, scaled, relevant = p._integer_form()
-    missing = relevant & ~given
+    form = p._integer_form()
+    missing = form.relevant & ~given
     if missing:
         names = [i + 1 for i in range(missing.bit_length()) if (missing >> i) & 1]
         raise MissingVariable(f"no value given for x_{names}")
-    total = 0
-    for mask, num in scaled:
-        if (mask & neg).bit_count() & 1:
-            total -= num
-        else:
-            total += num
-    return Fraction(total, 1 << top)
+    total = _sparse_numerators(p, np.array([neg], dtype=np.uint64))[0]
+    return Fraction(total, 1 << form.top)
 
 
 def sparse_from_spectrum(s: Spectrum) -> SparsePolynomial:

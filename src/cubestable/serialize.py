@@ -9,7 +9,9 @@ Function objects look like one of::
 The truth-table hex string has exactly ceil(2**n / 4) digits in
 little-endian order: the first digit holds vertices 0..3, and within a
 digit vertex v contributes bit (v mod 4).  Sparse terms are sorted by their
-variable tuples, so serialization is canonical.
+variable tuples, so serialization is canonical; a sparse n is at least the
+largest variable index any term names.  Every number in a function or
+witness document must be a JSON integer.
 
 Witnesses serialize as {"epsilon": +/-1, "alpha": "01...", "sigma": [ints]}
 where alpha's j-th character (0-based) is "1" iff coordinate x_{j+1} is
@@ -102,6 +104,12 @@ def function_from_json(doc: dict[str, Any]) -> TruthTable | SparsePolynomial:
             if mask in terms:
                 raise ValueError(f"duplicate term for variables {entry['vars']}")
             terms[mask] = pair
+        n = doc.get("n")
+        if type(n) is not int or n < 0:
+            raise ValueError("sparse document needs an integer n >= 0")
+        # The largest mask has the highest variable of all the terms.
+        if max(terms, default=0).bit_length() > n:
+            raise ValueError(f"a term names a variable beyond x_{n}")
         return SparsePolynomial(terms)
     raise ValueError(f"unknown encoding {encoding!r}")
 
@@ -117,11 +125,16 @@ def witness_to_json(a: SignedAutomorphism) -> dict[str, Any]:
 
 def witness_from_json(doc: dict[str, Any]) -> SignedAutomorphism:
     try:
-        epsilon = int(doc["epsilon"])
+        epsilon = doc["epsilon"]
         alpha_text = doc["alpha"]
         sigma_list = doc["sigma"]
     except (TypeError, KeyError):
         raise ValueError("witness document needs epsilon, alpha, sigma") from None
+    # type(), not isinstance(): JSON true is a bool, and bool is an int.
+    if type(epsilon) is not int:
+        raise ValueError(f"epsilon must be an integer, got {epsilon!r}")
+    if not isinstance(sigma_list, list) or any(type(s) is not int for s in sigma_list):
+        raise ValueError("sigma must be a list of integers")
     n = len(sigma_list)
     if not isinstance(alpha_text, str) or len(alpha_text) != n:
         raise ValueError(f"alpha must be a {n}-character bit string")
@@ -131,7 +144,7 @@ def witness_from_json(doc: dict[str, Any]) -> SignedAutomorphism:
     for j, ch in enumerate(alpha_text):
         if ch == "1":
             alpha |= 1 << j
-    sigma = tuple(int(s) - 1 for s in sigma_list)
+    sigma = tuple(s - 1 for s in sigma_list)
     return SignedAutomorphism(n, epsilon, alpha, sigma)
 
 

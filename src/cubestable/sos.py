@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isqrt
+from typing import Iterator
 
 from .errors import BudgetExceeded, PreconditionViolated, VerificationFailed
 
@@ -32,19 +33,18 @@ def _check_args(q: int, t: int) -> None:
         raise ValueError(f"q and t must be >= 0, got ({q}, {t})")
 
 
-def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosResult:
-    """S(q, t) by the recurrence S(q, t) = sum over |x| <= sqrt(q) of
-    S(q - x**2, t - 1), grown column by column in t.
+def _columns(q: int, t: int, memo_limit: int) -> Iterator[list[int]]:
+    """The columns ``row[r] = S(r, t')`` for r <= q, for t' = 0, 1, ..., t.
 
-    Work and table size are bounded by q*t; past ``memo_limit`` the call is
-    refused with :class:`BudgetExceeded`.
+    Column t' + 1 sums S(r - x**2, t') over |x| <= sqrt(r).  Work and
+    table size are bounded by q*t; past ``memo_limit`` the first step
+    raises :class:`BudgetExceeded` before any column is built.
     """
-    _check_args(q, t)
     if q * t > memo_limit:
         # No q*t in the message: past 4,300 digits str() of it raises.
         raise BudgetExceeded(f"q*t exceeds memo limit {memo_limit}")
-    # row[r] = S(r, t') for the current t', starting from t' = 0.
     row = [1] + [0] * q
+    yield row
     for _ in range(t):
         new = []
         for r in range(q + 1):
@@ -53,6 +53,19 @@ def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosRes
                 total += 2 * row[r - x * x]
             new.append(total)
         row = new
+        yield row
+
+
+def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosResult:
+    """S(q, t) by the recurrence S(q, t) = sum over |x| <= sqrt(q) of
+    S(q - x**2, t - 1), grown column by column in t.
+
+    Work and table size are bounded by q*t; past ``memo_limit`` the call is
+    refused with :class:`BudgetExceeded`.
+    """
+    _check_args(q, t)
+    for row in _columns(q, t, memo_limit):
+        pass
     return SosResult(q, t, row[q])
 
 
@@ -119,10 +132,14 @@ def check_bounds(
     _check_args(q, t)
     if t < q:
         raise PreconditionViolated(f"bounds need t >= q, got t={t} < q={q}")
-    count = sos_count(q, t, memo_limit=memo_limit).count
+    # One pass of the recurrence: S(q, q) is its column q on the way to t.
+    for col, row in enumerate(_columns(q, t, memo_limit)):
+        if col == q:
+            diagonal = row[q]
+    count = row[q]
     c = comb(t, q)
     lower = c * (1 << q)
-    upper_subset = c * sos_count(q, q, memo_limit=memo_limit).count
+    upper_subset = c * diagonal
     upper_value = _floor_surd_power(q, c)
     ok = lower <= count <= upper_subset and count <= upper_value
     return BoundsReport(q, t, count, lower, upper_subset, upper_value, ok)

@@ -27,7 +27,7 @@ from .constructions import (
     max_relevant_construct,
     uncoverable4,
 )
-from .core import TruthTable, _butterfly, _unpack, evaluate_sparse
+from .core import TruthTable, _butterfly, _sparse_numerators, _unpack
 from .group import group_order
 from .kfunctions import (
     CountRecord,
@@ -199,10 +199,14 @@ def _c7_max_relevant(ctx: _Context) -> tuple[bool, str]:
     p5 = max_relevant_construct(5)
     rng = random.Random(ctx.seed)
     samples = 10_000
-    for _ in range(samples):
-        point = {i: rng.choice((1, -1)) for i in range(1, 47)}
-        if evaluate_sparse(p5, point) not in (1, -1):
-            return False, f"non-Boolean value at sampled point (seed {ctx.seed})"
+    # Bit j of a point set means x_{j+1} = -1, so the points are uniform on
+    # {+/-1}**46; p5's 46 relevant indices must all lie in 1..46.
+    points = np.array([rng.getrandbits(46) for _ in range(samples)], dtype=np.uint64)
+    one = 1 << p5._integer_form().top
+    if p5.relevant_mask() >> 46 or any(
+        abs(v) != one for v in _sparse_numerators(p5, points)
+    ):
+        return False, f"non-Boolean value at sampled point (seed {ctx.seed})"
     return True, (
         "relevant counts (1,4,10,22,46); supports 4**(k-1); "
         f"{samples} seeded evaluations at k=5 all +/-1"

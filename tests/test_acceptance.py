@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from cubestable import cli
+from cubestable import cli, verify
+from cubestable.core import SparsePolynomial
 from cubestable.verify import _Context, render_line, run_criterion
 
 SEED = 42
@@ -57,6 +58,28 @@ def test_criterion_06_uncoverable_4_function(ctx):
 
 def test_criterion_07_max_relevant_chain(ctx):
     _check(7, ctx)
+
+
+def test_criterion_07_fails_on_a_non_boolean_chain(monkeypatch):
+    lines = {render_line(run_criterion(7, _Context(s, threads=1))) for s in (1, 2)}
+    assert len(lines) == 1 and '"status":"PASS"' in lines.pop()
+    build = verify.max_relevant_construct
+
+    def flipped(k):
+        # One sign flip keeps Parseval and the support, but the values are
+        # now +/-1 +/- 1/8.
+        p = build(k)
+        if k < 5:
+            return p
+        terms = dict(p.terms)
+        mask, (num, a) = next(iter(terms.items()))
+        terms[mask] = (-num, a)
+        return SparsePolynomial(terms)
+
+    monkeypatch.setattr(verify, "max_relevant_construct", flipped)
+    result = run_criterion(7, _Context(SEED, threads=1))
+    assert not result.ok
+    assert f"seed {SEED}" in result.detail
 
 
 def test_criterion_08_sum_of_squares_oracles_and_bounds(ctx):

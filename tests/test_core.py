@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cubestable as cs
 from cubestable import serialize
+from cubestable.core import _sparse_numerators
 from cubestable.errors import (
     DimensionTooLarge,
     IndexOverflow,
@@ -183,6 +185,34 @@ def test_sparse_integer_sums_match_fraction_reference():
             assert cs.evaluate_sparse(p, point) == fraction_evaluate(p, point)
     assert cs.evaluate_sparse(fixed[0], {}) == 0
     assert cs.evaluate_sparse(fixed[2], {}) == Fraction(3, 4)
+
+
+def test_sparse_numerators_exact():
+    rng = random.Random(8)
+    big = 2**70 + 1
+    polys = [
+        (cs.SparsePolynomial.zero(), 64, 20),
+        (cs.SparsePolynomial.constant(-3, 5), 64, 20),
+        # Mask bit 63, the uint64 sign bit, in a term and in the points.
+        (cs.SparsePolynomial({1 << 63: (1, 0), (1 << 63) | 1: (-3, 2)}), 64, 50),
+        (cs.SparsePolynomial({0: (big, 0), 0b11: (-big, 3), 1 << 40: (3 * big, 1)}), 64, 50),
+        # Every term its own numerator class.
+        (cs.SparsePolynomial({m: (2 * m + 1, m % 5) for m in range(1, 40)}), 64, 50),
+        # One class of 300 terms: its odd counts do not fit a uint8.
+        (cs.SparsePolynomial({m: (1, 0) for m in range(300)}), 9, 50),
+        # 256 terms, so 256 points per piece: 300 points span two pieces.
+        (cs.max_relevant_construct(5), 46, 300),
+    ]
+    for p, bits, count in polys:
+        top = p._integer_form().top
+        negs = [rng.getrandbits(bits) for _ in range(count)]
+        got = _sparse_numerators(p, np.array(negs, dtype=np.uint64))
+        assert all(type(v) is int for v in got)
+        want = [
+            fraction_evaluate(p, {i + 1: -1 for i in range(bits) if neg >> i & 1})
+            for neg in negs
+        ]
+        assert [Fraction(v, 1 << top) for v in got] == want
 
 
 def test_sparse_integer_cache_is_invisible():

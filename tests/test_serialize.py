@@ -80,6 +80,10 @@ def test_function_from_json_rejects_malformed():
         {"vars": "1", "num": 1, "log2_den": 0},
     ]:
         bad.append({"encoding": "sparse", "terms": [term]})
+    # A sparse n must be a JSON integer covering every variable named.
+    term = {"vars": [1, 3], "num": 1, "log2_den": 0}
+    for n in ("abc", 2, -1, None):
+        bad.append({"encoding": "sparse", "n": n, "terms": [term]})
     for doc in bad:
         with pytest.raises(ValueError):
             serialize.function_from_json(doc)
@@ -115,6 +119,14 @@ def test_witness_from_json_rejects_malformed():
         {**good, "alpha": "01"},
         {**good, "alpha": "012"},
         {**good, "alpha": 5},
+        # Numbers that are not JSON integers, where int() would truncate or
+        # coerce them.
+        {**good, "epsilon": 1.5},
+        {**good, "epsilon": "1"},
+        {**good, "epsilon": True},
+        {"epsilon": 1, "alpha": "00", "sigma": [1.9, 2.2]},
+        {"epsilon": 1, "alpha": "00", "sigma": ["1", "2"]},
+        {"epsilon": 1, "alpha": "00", "sigma": "12"},
     ]:
         with pytest.raises(ValueError):
             serialize.witness_from_json(doc)

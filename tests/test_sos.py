@@ -80,11 +80,14 @@ def test_check_bounds_examples():
 
 
 def test_check_bounds_sweep():
-    for q in range(5):
-        for t in range(q, 12):
+    for q in range(17):
+        for t in range(q, 65):
             r = cs.check_bounds(q, t)
             assert r.ok, (q, t)
             assert r.lower == comb(t, q) * 2**q
+            # S(q, q) read off the one recurrence pass, against its own call.
+            assert r.count == cs.sos_count(q, t).count
+            assert r.upper_subset == comb(t, q) * cs.sos_count(q, q).count
 
 
 def test_check_bounds_precondition():
