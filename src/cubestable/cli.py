@@ -58,17 +58,23 @@ def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _load_function(path: str) -> TruthTable | SparsePolynomial:
+def _load_document(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
-        return function_from_json(json.load(handle))
+        return json.load(handle)
 
 
-def _as_table(obj: TruthTable | SparsePolynomial) -> TruthTable:
-    """Densify a sparse function (raises NotBoolean if it is not +/-1)."""
+def _load_function(path: str) -> TruthTable | SparsePolynomial:
+    return function_from_json(_load_document(path))
+
+
+def _load_table(path: str) -> TruthTable:
+    """A function file as a truth table.  A sparse function is densified on
+    its declared n, at least 1 (raises NotBoolean if it is not +/-1)."""
+    doc = _load_document(path)
+    obj = function_from_json(doc)
     if isinstance(obj, TruthTable):
         return obj
-    n = obj.relevant_mask().bit_length()
-    return inverse_wht(spectrum_from_sparse(obj, max(n, 1)))
+    return inverse_wht(spectrum_from_sparse(obj, max(doc["n"], 1)))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -105,7 +111,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    f = _as_table(_load_function(args.f))
+    f = _load_table(args.f)
     rep, witness = canonical_form(f)
     _emit(
         dumps(
@@ -119,8 +125,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_isomorphic(args: argparse.Namespace) -> int:
-    f = _as_table(_load_function(args.f))
-    g = _as_table(_load_function(args.g))
+    f = _load_table(args.f)
+    g = _load_table(args.g)
     n = max(f.n, g.n)
     f, g = pad_to(f, n), pad_to(g, n)
     witness = are_isomorphic(f, g)
@@ -214,11 +220,11 @@ def _cmd_sos(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenery(args: argparse.Namespace) -> int:
-    f = _as_table(_load_function(args.f))
+    f = _load_table(args.f)
     dist = exact_scenery(f, args.steps)
     doc = scenery_to_json(dist)
     if args.compare:
-        g = _as_table(_load_function(args.compare))
+        g = _load_table(args.compare)
         other = exact_scenery(g, args.steps)
         doc["equal"] = dist.n == other.n and dist.probs == other.probs
         doc["compare_probs"] = scenery_to_json(other)["probs"]

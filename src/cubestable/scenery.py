@@ -14,10 +14,12 @@ where the walk is; that closed form is :func:`markov_scenery`, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Mapping
 
-from .core import TruthTable
+import numpy as np
+
+from .core import TruthTable, _unpack
 from .errors import BudgetExceeded, KOutOfRange, ShapeMismatch, ZeroDimension
 
 #: Ceiling on the number of steps (word space 2**(L+1)).
@@ -27,6 +29,8 @@ MAX_STEPS = 12
 MAX_DP_CELLS = 1 << 20
 
 Word = tuple[int, ...]
+
+_LETTERS = frozenset((1, -1))
 
 
 class SceneryDistribution:
@@ -47,7 +51,7 @@ class SceneryDistribution:
         self.L = L
         self.probs = {w: p for w, p in probs.items() if p}
         for w in self.probs:
-            if len(w) != L + 1 or not all(s in (1, -1) for s in w):
+            if len(w) != L + 1 or set(w) - _LETTERS:
                 raise ValueError(f"malformed word {w} for L={L}")
 
     def total(self) -> Fraction:
@@ -68,9 +72,11 @@ class SceneryDistribution:
 def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     """The word distribution under the walk model, by dynamic programming.
 
-    Per surviving word prefix the DP carries the vector of unnormalized
-    weights P(prefix read, walk now at v), scaled by 2**n * n**step so all
-    entries stay integers; Fractions appear only in the final summation.
+    The DP holds one int64 row per surviving word prefix: entry v counts
+    the walks that read the prefix and are now at v.  A step adds the n
+    neighbour gathers of every row and splits the result by the letter
+    read at v; rows that are all zero are dropped.  After L steps row w
+    sums to 2**n * n**L * P(w), so Fractions appear only at the return.
     Raises :class:`BudgetExceeded` if L > MAX_STEPS, or if the DP could
     hold more than MAX_DP_CELLS vertex-word cells, before any work.
     """
@@ -86,29 +92,32 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
         raise BudgetExceeded(
             f"2**{n} vertices x 2**{L + 1} words exceeds the {MAX_DP_CELLS}-cell ceiling"
         )
-    values = f.values()
+    # An entry after t steps counts t-step walks into v, so it is at most
+    # n**t, and a row sums to at most 2**n * n**L.  Under the two ceilings
+    # (2**n * 2**(L+1) <= 2**20, L <= 12) that is at most 2**41 (n = 8,
+    # L = 11), so int64 cannot overflow.
+    minus = _unpack(f.bits, n).astype(np.int64)
+    # letters[0] is 1 where f reads +1, letters[1] where it reads -1.
+    letters = np.stack([1 - minus, minus])
+    flips = np.arange(size) ^ (1 << np.arange(n))[:, None]
     # step 0: weight 1 on every vertex, split by the letter read there.
-    state: dict[Word, list[int]] = {}
-    for s in (1, -1):
-        vec = [1 if values[v] == s else 0 for v in range(size)]
-        if any(vec):
-            state[(s,)] = vec
-    for _ in range(L):
-        nxt: dict[Word, list[int]] = {}
-        for word, vec in state.items():
-            spread = [0] * size
-            for v, w in enumerate(vec):
-                if w:
-                    for j in range(n):
-                        spread[v ^ (1 << j)] += w
-            for s in (1, -1):
-                out = [spread[v] if values[v] == s else 0 for v in range(size)]
-                if any(out):
-                    nxt[word + (s,)] = out
-        state = nxt
-    norm = (1 << n) * n**L
+    state = letters
+    words: list[Word] = [(1,), (-1,)]
+    for step in range(L + 1):
+        if step:
+            spread = state[:, flips[0]]
+            for flip in flips[1:]:
+                spread += state[:, flip]
+            # The rows of word + (1,) and word + (-1,) sit side by side.
+            state = (spread[:, None, :] * letters).reshape(-1, size)
+            words = [w + (s,) for w in words for s in (1, -1)]
+        live = state.any(axis=1)
+        state = state[live]
+        words = list(compress(words, live.tolist()))
+    norm = size * n**L
+    totals = state.sum(axis=1).tolist()
     return SceneryDistribution(
-        n, L, {w: Fraction(sum(vec), norm) for w, vec in state.items()}
+        n, L, {w: Fraction(t, norm) for w, t in zip(words, totals)}
     )
 
 

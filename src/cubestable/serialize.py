@@ -148,8 +148,11 @@ def witness_from_json(doc: dict[str, Any]) -> SignedAutomorphism:
     return SignedAutomorphism(n, epsilon, alpha, sigma)
 
 
+_LETTER_TEXT = {1: "+", -1: "-"}
+
+
 def word_to_str(word: Word) -> str:
-    return "".join("+" if s == 1 else "-" for s in word)
+    return "".join(map(_LETTER_TEXT.__getitem__, word))
 
 
 def word_from_str(text: str) -> Word:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, PreconditionViolated, VerificationFailed
 
@@ -125,6 +125,31 @@ def _floor_surd_power(q: int, c: int) -> int:
     return c * a + isqrt(c * b * c * b * q)
 
 
+def _bounds_reports(
+    q: int, ts: Iterable[int], memo_limit: int = DEFAULT_MEMO_LIMIT
+) -> Iterator[BoundsReport]:
+    """The reports at the distinct t in ``ts`` (all t >= q), by ascending
+    t, from one pass of the recurrence up to the largest t.
+
+    S(q, q) is read at column q on the way; binomials and surd floors are
+    computed only at the requested columns.  Past ``memo_limit`` the first
+    step raises :class:`BudgetExceeded` before any column is built.
+    """
+    wanted = set(ts)
+    for t, row in enumerate(_columns(q, max(wanted, default=0), memo_limit)):
+        if t == q:
+            diagonal = row[q]
+        if t not in wanted:
+            continue
+        count = row[q]
+        c = comb(t, q)
+        lower = c * (1 << q)
+        upper_subset = c * diagonal
+        upper_value = _floor_surd_power(q, c)
+        ok = lower <= count <= upper_subset and count <= upper_value
+        yield BoundsReport(q, t, count, lower, upper_subset, upper_value, ok)
+
+
 def check_bounds(
     q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT
 ) -> BoundsReport:
@@ -132,17 +157,8 @@ def check_bounds(
     _check_args(q, t)
     if t < q:
         raise PreconditionViolated(f"bounds need t >= q, got t={t} < q={q}")
-    # One pass of the recurrence: S(q, q) is its column q on the way to t.
-    for col, row in enumerate(_columns(q, t, memo_limit)):
-        if col == q:
-            diagonal = row[q]
-    count = row[q]
-    c = comb(t, q)
-    lower = c * (1 << q)
-    upper_subset = c * diagonal
-    upper_value = _floor_surd_power(q, c)
-    ok = lower <= count <= upper_subset and count <= upper_value
-    return BoundsReport(q, t, count, lower, upper_subset, upper_value, ok)
+    (report,) = _bounds_reports(q, [t], memo_limit)
+    return report
 
 
 def f_upper_bound(

@@ -39,7 +39,7 @@ from .kfunctions import (
 )
 from .scenery import distributions_equal, exact_scenery, markov_scenery
 from .serialize import dumps
-from .sos import check_bounds, f_upper_bound, sos_bruteforce, sos_count
+from .sos import _bounds_reports, f_upper_bound, sos_bruteforce, sos_count
 
 GOLDEN_TABLE_RESOURCE = "data/count_table_n4.csv"
 
@@ -222,9 +222,10 @@ def _c8_sos(ctx: _Context) -> tuple[bool, str]:
             agree += 1
     bounds = 0
     for q in range(17):
-        for t in range(q, 65):
-            if not check_bounds(q, t).ok:
-                return False, f"bounds fail at (q,t)=({q},{t})"
+        # One recurrence pass per q reports every t = q..64.
+        for r in _bounds_reports(q, range(q, 65)):
+            if not r.ok:
+                return False, f"bounds fail at (q,t)=({q},{r.t})"
             bounds += 1
     return True, f"oracles agree on {agree} cells; bounds hold on {bounds} cells"
 

@@ -7,6 +7,7 @@ which itself compares its passes under worker budgets 1 and 8 byte for byte.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -84,6 +85,19 @@ def test_criterion_07_fails_on_a_non_boolean_chain(monkeypatch):
 
 def test_criterion_08_sum_of_squares_oracles_and_bounds(ctx):
     _check(8, ctx)
+
+
+def test_criterion_08_names_the_failing_cell(monkeypatch):
+    sweep = verify._bounds_reports
+
+    def broken(q, ts):
+        for r in sweep(q, ts):
+            yield replace(r, ok=False) if (q, r.t) == (5, 9) else r
+
+    monkeypatch.setattr(verify, "_bounds_reports", broken)
+    result = run_criterion(8, _Context(SEED, threads=1))
+    assert not result.ok
+    assert "(q,t)=(5,9)" in result.detail
 
 
 def test_criterion_09_count_upper_bound(ctx):

@@ -226,6 +226,25 @@ def test_scenery_compare(capsys, tmp_path, two_function_q4):
     assert json.loads(out)["equal"] is True
 
 
+def test_sparse_file_keeps_its_declared_n(capsys, tmp_path):
+    # x_1 declared on Q_3 is the dictator on Q_3, not a function on Q_1.
+    doc = {
+        "n": 3,
+        "encoding": "sparse",
+        "terms": [{"vars": [1], "num": 1, "log2_den": 0}],
+    }
+    sparse = tmp_path / "x1.json"
+    sparse.write_text(json.dumps(doc) + "\n")
+    dense = write_function(tmp_path, "d.json", cs.TruthTable.dictator(3, 1))
+    code, out, _ = run(capsys, ["scenery", "--f", str(sparse), "--steps", "1"])
+    assert code == 0
+    assert json.loads(out)["probs"]["+-"] == "1/6"
+    assert run(capsys, ["scenery", "--f", dense, "--steps", "1"])[1] == out
+    code, out, _ = run(capsys, ["canon", "--f", str(sparse)])
+    assert code == 0
+    assert json.loads(out)["canonical"]["n"] == 3
+
+
 def test_budget_exit_codes(capsys, tmp_path, two_function_q4):
     pf = write_function(tmp_path, "f.json", two_function_q4)
     code, _, err = run(capsys, ["scenery", "--f", pf, "--steps", "13"])

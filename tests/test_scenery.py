@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +13,22 @@ from cubestable.errors import (
     ZeroDimension,
 )
 from cubestable.scenery import SceneryDistribution
+
+
+def walk_scenery(f, L):
+    """The law by brute force: every start vertex and every one of the n**L
+    coordinate sequences, each walk weighted 1 / (2**n * n**L)."""
+    n = f.n
+    counts = Counter()
+    for start in range(1 << n):
+        for path in product(range(n), repeat=L):
+            v = start
+            word = [f.value(v)]
+            for j in path:
+                v ^= 1 << j
+                word.append(f.value(v))
+            counts[tuple(word)] += 1
+    return {w: Fraction(c, (1 << n) * n**L) for w, c in counts.items()}
 
 
 def test_constant_scenery():
@@ -25,6 +43,44 @@ def test_parity_scenery_alternates():
         (1, -1, 1, -1, 1): Fraction(1, 2),
         (-1, 1, -1, 1, -1): Fraction(1, 2),
     }
+
+
+def test_exact_matches_walk_enumeration():
+    tables = []
+    for n in range(1, 4):
+        tables += [cs.TruthTable.constant(n, 1), cs.TruthTable.constant(n, -1)]
+        tables += [cs.TruthTable.dictator(n, i) for i in range(1, n + 1)]
+        tables += [cs.TruthTable.character(n, m) for m in range(1, 1 << n)]
+    rng = random.Random(11)
+    # Random tables are mostly not k-functions, so many words have
+    # probability zero and their rows must be dropped, not reported.
+    tables += [cs.TruthTable(n, rng.getrandbits(1 << n)) for n in (1, 2, 3) * 8]
+    for f in tables:
+        for L in range(5):
+            assert cs.exact_scenery(f, L).probs == walk_scenery(f, L), (f, L)
+
+
+def test_exact_scenery_at_the_cell_ceiling():
+    # 2**8 x 2**12 cells; each row sums to at most 2**8 * 8**11 = 2**41.
+    d = cs.exact_scenery(cs.TruthTable.constant(8, 1), 11)
+    assert d.probs == {(1,) * 12: 1}
+    assert d.total() == 1
+    f = cs.TruthTable(7, random.Random(12).getrandbits(1 << 7))
+    d = cs.exact_scenery(f, 12)
+    assert d.total() == 1
+    assert len(d.probs) > 1000
+
+
+def test_shared_law_on_q5():
+    # All 140 2-functions on Q_5 and their complements, the 140 3-functions.
+    twos = list(cs.enumerate_spectral(5, 2))
+    assert len(twos) == 140
+    laws = {k: cs.markov_scenery(5, k, 8) for k in (2, 3)}
+    for f in twos:
+        g = cs.complement(f)
+        assert cs.uniform_flip_count(g) == 3
+        assert cs.exact_scenery(f, 8) == laws[2]
+        assert cs.exact_scenery(g, 8) == laws[3]
 
 
 def test_markov_hand_values():

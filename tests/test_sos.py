@@ -4,7 +4,7 @@ import pytest
 
 import cubestable as cs
 from cubestable.errors import BudgetExceeded, PreconditionViolated
-from cubestable.sos import _floor_surd_power
+from cubestable.sos import _bounds_reports, _floor_surd_power
 
 
 def test_small_closed_forms():
@@ -88,6 +88,28 @@ def test_check_bounds_sweep():
             # S(q, q) read off the one recurrence pass, against its own call.
             assert r.count == cs.sos_count(q, t).count
             assert r.upper_subset == comb(t, q) * cs.sos_count(q, q).count
+
+
+def test_bounds_reports_sweep_matches_check_bounds():
+    for q in range(17):
+        ts = range(q, 65)
+        assert list(_bounds_reports(q, ts)) == [cs.check_bounds(q, t) for t in ts]
+    # Only the requested columns are reported, once each, by ascending t.
+    assert [r.t for r in _bounds_reports(3, [40, 3, 7, 7])] == [3, 7, 40]
+    assert list(_bounds_reports(3, [])) == []
+
+
+def test_bounds_reports_budget_before_any_column(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started past the budget")
+
+    # isqrt builds every column after the first, comb every report.
+    monkeypatch.setattr("cubestable.sos.isqrt", refuse)
+    monkeypatch.setattr("cubestable.sos.comb", refuse)
+    with pytest.raises(BudgetExceeded):
+        next(_bounds_reports(10, range(10, 101), memo_limit=999))
+    with pytest.raises(BudgetExceeded):
+        cs.check_bounds(10, 100, memo_limit=999)
 
 
 def test_check_bounds_precondition():
