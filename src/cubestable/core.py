@@ -10,7 +10,9 @@ Conventions, used consistently across the whole package:
 * A :class:`TruthTable` packs one bit per vertex into a Python int: bit v is
   set iff f(v) = -1.
 * A :class:`Spectrum` stores the integer-scaled coefficients
-  ``coeffs[S] = 2**n * fhat(S)``.  For a +/-1-valued f, Parseval reads
+  ``coeffs[S] = 2**n * fhat(S)`` in one read-only numpy array (int64, or
+  Python ints past int64) and scans it with numpy reductions; ``coeffs``
+  gives them as Python ints.  For a +/-1-valued f, Parseval reads
   ``sum(c*c for c in coeffs) == 4**n`` exactly.
 * A :class:`SparsePolynomial` stores only nonzero coefficients, each as a
   dyadic rational ``num / 2**log2_den`` keyed by its mask.  Masks may use
@@ -37,8 +39,10 @@ from .errors import (
     NotBoolean,
 )
 
-#: Largest n for which dense 2**n-entry representations are allowed.
-#: 2**26 table bits is 8 MiB; anything bigger must stay sparse.
+#: Largest n for which dense 2**n-entry representations are allowed.  The
+#: table is 8 MiB at n = 26, but its int64 spectrum is 512 MiB: one ``wht``
+#: takes 9.7 s and 1.07 GB peak RSS there (2.3 s and 290 MB at n = 24, on a
+#: 2-core Xeon), so n = 26 fits a 2 GB budget.  Anything bigger stays sparse.
 MAX_DENSE_N = 26
 
 #: Largest 1-based variable index a sparse polynomial may mention.
@@ -138,44 +142,65 @@ class TruthTable:
 class Spectrum:
     """Integer-scaled Fourier coefficients of a function on Q_n.
 
-    ``coeffs[S] = 2**n * fhat(S)``, indexed by subset mask.
+    ``coeffs[S] = 2**n * fhat(S)``, indexed by subset mask, held in one
+    read-only array: int64 if every coefficient fits, else Python ints.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_a")
 
     n: int
-    coeffs: tuple[int, ...]
+    _a: np.ndarray
 
     def __init__(self, n: int, coeffs: Iterable[int]):
         _check_dimension(n)
-        cs = tuple(map(int, coeffs))
+        cs = list(coeffs)
         if len(cs) != (1 << n):
             raise ValueError(f"expected {1 << n} coefficients, got {len(cs)}")
-        self.n = n
-        self.coeffs = cs
+        # Check types, not values: bool is an int, and int() would silently
+        # truncate a float.
+        for t in set(map(type, cs)):
+            if t is bool or not issubclass(t, (int, np.integer)):
+                raise ValueError(f"coefficient of type {t.__name__} is not an integer")
+        try:
+            self._set(n, np.array(cs, dtype=np.int64))
+        except OverflowError:
+            self._set(n, np.array(list(map(int, cs)), dtype=object))
+
+    def _set(self, n: int, a: np.ndarray) -> None:
+        a.flags.writeable = False
+        self.n, self._a = n, a
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients as Python ints, by mask."""
+        return tuple(self._a.tolist())
 
     def coefficient(self, mask: int) -> Fraction:
         """The exact Fourier coefficient fhat(S)."""
-        return Fraction(self.coeffs[mask], 1 << self.n)
+        if not 0 <= mask < (1 << self.n):
+            raise ValueError(f"coefficient mask {mask} outside Q_{self.n}")
+        return Fraction(int(self._a[mask]), 1 << self.n)
 
     def support(self) -> list[int]:
         """Masks with nonzero coefficient, ascending."""
-        return [m for m, c in enumerate(self.coeffs) if c]
+        return np.flatnonzero(self._a).tolist()
 
     def support_levels(self) -> frozenset[int]:
         """The set of popcounts occurring in the support."""
-        return frozenset(m.bit_count() for m, c in enumerate(self.coeffs) if c)
+        counts = np.bincount(np.bitwise_count(np.flatnonzero(self._a)))
+        return frozenset(np.flatnonzero(counts).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and np.array_equal(self._a, other._a)
 
     def __hash__(self) -> int:
         return hash((self.n, self.coeffs))
 
     def __repr__(self) -> str:
-        nz = {m: c for m, c in enumerate(self.coeffs) if c}
+        masks = np.flatnonzero(self._a)
+        nz = dict(zip(masks.tolist(), self._a[masks].tolist()))
         return f"Spectrum(n={self.n}, nonzero={nz})"
 
 
@@ -410,7 +435,8 @@ def wht(f: TruthTable) -> Spectrum:
         return f._spectrum
     a = 1 - 2 * _unpack(f.bits, f.n).astype(np.int64)
     _butterfly(a)
-    spectrum = Spectrum(f.n, a.tolist())
+    spectrum = Spectrum.__new__(Spectrum)
+    spectrum._set(f.n, a)
     f._spectrum = spectrum
     return spectrum
 
@@ -424,9 +450,9 @@ def inverse_wht(s: Spectrum) -> TruthTable:
     size = 1 << s.n
     # No +/-1 function has a coefficient beyond 2**n; rejecting those first
     # keeps the int64 butterfly below 2**52.
-    if max(s.coeffs) > size or min(s.coeffs) < -size:
+    if s._a.max() > size or s._a.min() < -size:
         raise NotBoolean(f"a coefficient exceeds 2**{s.n} in absolute value")
-    a = np.array(s.coeffs, dtype=np.int64)
+    a = s._a.astype(np.int64)
     _butterfly(a)
     # The butterfly applied twice multiplies by 2**n.
     bad = np.flatnonzero(np.abs(a) != size)
@@ -448,10 +474,7 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
     contains it.
     """
     if isinstance(obj, Spectrum):
-        union = 0
-        for m, c in enumerate(obj.coeffs):
-            if c:
-                union |= m
+        union = int(np.bitwise_or.reduce(np.flatnonzero(obj._a)))
     elif isinstance(obj, SparsePolynomial):
         union = obj.relevant_mask()
     else:
@@ -520,8 +543,9 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
 
 def sparse_from_spectrum(s: Spectrum) -> SparsePolynomial:
     """The polynomial with coefficient fhat(S) on each support mask of s."""
+    masks = np.flatnonzero(s._a)
     return SparsePolynomial(
-        {m: (c, s.n) for m, c in enumerate(s.coeffs) if c}
+        {m: (c, s.n) for m, c in zip(masks.tolist(), s._a[masks].tolist())}
     )
 
 

@@ -14,7 +14,7 @@ where the walk is; that closed form is :func:`markov_scenery`, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -50,9 +50,9 @@ class SceneryDistribution:
         self.n = n
         self.L = L
         self.probs = {w: p for w, p in probs.items() if p}
-        for w in self.probs:
-            if len(w) != L + 1 or set(w) - _LETTERS:
-                raise ValueError(f"malformed word {w} for L={L}")
+        if set(map(len, self.probs)) - {L + 1} or set().union(*self.probs) - _LETTERS:
+            w = next(w for w in self.probs if len(w) != L + 1 or set(w) - _LETTERS)
+            raise ValueError(f"malformed word {w} for L={L}")
 
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
@@ -102,7 +102,9 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     flips = np.arange(size) ^ (1 << np.arange(n))[:, None]
     # step 0: weight 1 on every vertex, split by the letter read there.
     state = letters
-    words: list[Word] = [(1,), (-1,)]
+    # codes[r] spells row r's word in binary, first letter highest and a
+    # set bit for -1, so the rows stay in the order of their +/- strings.
+    codes = np.arange(2)
     for step in range(L + 1):
         if step:
             spread = state[:, flips[0]]
@@ -110,15 +112,17 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
                 spread += state[:, flip]
             # The rows of word + (1,) and word + (-1,) sit side by side.
             state = (spread[:, None, :] * letters).reshape(-1, size)
-            words = [w + (s,) for w in words for s in (1, -1)]
+            codes = (2 * codes[:, None] + np.arange(2)).ravel()
         live = state.any(axis=1)
         state = state[live]
-        words = list(compress(words, live.tolist()))
+        codes = codes[live]
+    signs = 1 - 2 * ((codes[:, None] >> np.arange(L, -1, -1)) & 1)
     norm = size * n**L
     totals = state.sum(axis=1).tolist()
-    return SceneryDistribution(
-        n, L, {w: Fraction(t, norm) for w, t in zip(words, totals)}
-    )
+    # Equal totals share one Fraction; a k-function's law has at most L + 1.
+    shared = {t: Fraction(t, norm) for t in set(totals)}
+    probs = map(shared.__getitem__, totals)
+    return SceneryDistribution(n, L, dict(zip(map(tuple, signs.tolist()), probs)))
 
 
 def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:

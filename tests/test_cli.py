@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 import cubestable as cs
@@ -146,6 +147,50 @@ def test_construct_lemma7(capsys, tmp_path):
     assert cert == {
         "check": "spectral-level", "ok": True, "k": 2, "terms": 4, "relevant": 4,
     }
+
+
+def independent_certificate(h: cs.TruthTable) -> dict:
+    """The spectral-level certificate from h's table alone: a WHT taken one
+    tensor axis at a time, and relevance by flipping each coordinate."""
+    signs = np.array(h.values())
+    a = signs.reshape((2,) * h.n)
+    for axis in range(h.n):
+        lo, hi = a.take([0], axis), a.take([1], axis)
+        a = np.concatenate([lo + hi, lo - hi], axis=axis)
+    coeffs = a.reshape(-1)
+    support = np.flatnonzero(coeffs).tolist()
+    levels = {m.bit_count() for m in support}
+    vertices = np.arange(1 << h.n)
+    relevant = sum(
+        bool((signs != signs[vertices ^ (1 << j)]).any()) for j in range(h.n)
+    )
+    ok = len(levels) == 1 and int((coeffs * coeffs).sum()) == 4**h.n
+    return {
+        "check": "spectral-level",
+        "ok": ok,
+        "k": levels.pop() if len(levels) == 1 else None,
+        "terms": len(support),
+        "relevant": relevant,
+    }
+
+
+def test_construct_lemma7_verify_on_q16(capsys, tmp_path):
+    # 2-functions on Q_5 with four relevant variables, padded to Q_14.
+    twos = [
+        f for f in cs.enumerate_spectral(5, 2) if len(cs.relevant_indices(cs.wht(f))) == 4
+    ]
+    pf = write_function(tmp_path, "f.json", cs.pad_to(twos[0], 14))
+    pg = write_function(tmp_path, "g.json", cs.pad_to(twos[-1], 14))
+    code, out, _ = run(
+        capsys, ["construct", "--recipe", "lemma7", "--f", pf, "--g", pg, "--verify"]
+    )
+    assert code == 0
+    first, second = out.splitlines()
+    h = serialize.function_from_json(json.loads(first))
+    assert isinstance(h, cs.TruthTable) and h.n == 16
+    cert = json.loads(second)
+    assert cert == independent_certificate(h)
+    assert cert["ok"] is True and cert["k"] == 3 == cs.uniform_flip_count(h)
 
 
 def test_construct_uncoverable4(capsys):

@@ -117,6 +117,88 @@ def test_relevant_indices_padding():
     assert cs.relevant_indices(cs.wht(f)) == {1}
 
 
+def reference_scans(s: cs.Spectrum):
+    """support, levels, relevant indices and sparse form by enumerate(coeffs):
+    the reference for the array reductions."""
+    support = [m for m, c in enumerate(s.coeffs) if c]
+    union = 0
+    for m in support:
+        union |= m
+    return (
+        support,
+        frozenset(m.bit_count() for m in support),
+        frozenset(i + 1 for i in range(union.bit_length()) if (union >> i) & 1),
+        cs.SparsePolynomial({m: (c, s.n) for m, c in enumerate(s.coeffs) if c}),
+    )
+
+
+def test_spectrum_scans_match_enumerate_reference():
+    rng = random.Random(20261018)
+    spectra = [
+        cs.wht(cs.TruthTable(n, bits)) for n in range(4) for bits in range(1 << (1 << n))
+    ]
+    spectra += [cs.wht(cs.TruthTable(n, rng.getrandbits(1 << n))) for n in (10, 14)]
+    spectra += [cs.wht(cs.pad_to(cs.TruthTable(3, 0x96), 10))]
+    # Coefficients past int64 and an all-zero spectrum take the same paths.
+    spectra += [cs.Spectrum(2, [2**70, 0, -3, 2**64]), cs.Spectrum(3, [0] * 8)]
+    for s in spectra:
+        support, levels, relevant, sparse = reference_scans(s)
+        assert s.support() == support
+        assert s.support_levels() == levels
+        assert cs.relevant_indices(s) == relevant
+        assert cs.sparse_from_spectrum(s) == sparse
+        assert all(type(m) is int for m in s.support())
+
+
+def test_spectrum_coeffs_are_python_ints_and_equal_a_built_spectrum():
+    rng = random.Random(12)
+    for n in (0, 3, 9, 14):
+        f = cs.TruthTable(n, rng.getrandbits(1 << n))
+        s = cs.wht(f)
+        assert all(type(c) is int for c in s.coeffs)
+        assert type(s.coefficient(0).numerator) is int
+        built = cs.Spectrum(n, list(s.coeffs))
+        assert built == s and hash(built) == hash(s)
+        assert cs.Spectrum(n, np.array(s.coeffs)) == s
+        assert repr(built) == repr(s)
+    huge = cs.Spectrum(1, [2**70, np.int64(-3)])
+    assert huge.coeffs == (2**70, -3) and all(type(c) is int for c in huge.coeffs)
+    assert huge != cs.Spectrum(1, [2**70, -1])
+
+
+def test_spectrum_is_read_only_and_copies_its_input():
+    f = cs.TruthTable(4, 0xBEEF)
+    s = cs.wht(f)
+    with pytest.raises(ValueError):
+        s._a[0] = 1
+    coeffs = list(s.coeffs)
+    array = np.array(coeffs)
+    built = (cs.Spectrum(4, coeffs), cs.Spectrum(4, array))
+    coeffs[0] += 2
+    array[0] += 2
+    for t in built:
+        assert t == s and t.coeffs == cs.wht(f).coeffs
+        with pytest.raises(ValueError):
+            t._a[1] = 0
+
+
+def test_spectrum_coefficient_rejects_masks_outside_the_cube():
+    s = cs.wht(cs.TruthTable.character(3, 7))
+    assert s.coefficient(7) == 1 and s.coefficient(0) == 0
+    for mask in (-1, -8, 8, 1 << 40):
+        with pytest.raises(ValueError):
+            s.coefficient(mask)
+
+
+def test_spectrum_rejects_non_integer_coefficients():
+    for bad in ([1.9, -0.5], [1, 0.0], [True, 0], [np.bool_(True), 0],
+                [Fraction(1), 0], ["1", 0], [np.float64(2), 0], [None, 0]):
+        with pytest.raises(ValueError):
+            cs.Spectrum(1, bad)
+    for good in ([np.int64(2), 0], [np.uint8(2), np.int32(-2)], [2**70, 0]):
+        assert cs.Spectrum(1, good).coeffs == tuple(int(c) for c in good)
+
+
 def test_evaluate_sparse():
     p = cs.SparsePolynomial.variable(1)
     assert cs.evaluate_sparse(p, {1: -1}) == -1
