@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Any
 
 from .constructions import (
@@ -31,7 +32,7 @@ from .core import (
     wht,
 )
 from .errors import BudgetExceeded, CubeStableError, VerificationFailed
-from .group import are_isomorphic, canonical_form, pad_to
+from .group import _check_canonical_n, are_isomorphic, canonical_form, pad_to
 from .kfunctions import (
     count_table,
     count_table_csv,
@@ -67,14 +68,24 @@ def _load_function(path: str) -> TruthTable | SparsePolynomial:
     return function_from_json(_load_document(path))
 
 
-def _load_table(path: str) -> TruthTable:
-    """A function file as a truth table.  A sparse function is densified on
-    its declared n, at least 1 (raises NotBoolean if it is not +/-1)."""
+def _read_table(path: str) -> tuple[TruthTable | SparsePolynomial, int]:
+    """A function file and the n it is densified on: a sparse function's
+    declared n, at least 1."""
     doc = _load_document(path)
     obj = function_from_json(doc)
+    return obj, obj.n if isinstance(obj, TruthTable) else max(doc["n"], 1)
+
+
+def _densify(obj: TruthTable | SparsePolynomial, n: int) -> TruthTable:
+    """obj as a truth table on Q_n (raises NotBoolean if it is not +/-1)."""
     if isinstance(obj, TruthTable):
         return obj
-    return inverse_wht(spectrum_from_sparse(obj, max(doc["n"], 1)))
+    return inverse_wht(spectrum_from_sparse(obj, n))
+
+
+def _load_table(path: str) -> TruthTable:
+    """A function file as a truth table on the n of :func:`_read_table`."""
+    return _densify(*_read_table(path))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -111,8 +122,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    f = _load_table(args.f)
-    rep, witness = canonical_form(f)
+    f, n = _read_table(args.f)
+    # Refuse before a sparse file is densified on its declared n, which
+    # takes 2**n memory (over 1 GB at n = 26).
+    _check_canonical_n(n)
+    rep, witness = canonical_form(_densify(f, n))
     _emit(
         dumps(
             {
@@ -125,10 +139,10 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_isomorphic(args: argparse.Namespace) -> int:
-    f = _load_table(args.f)
-    g = _load_table(args.g)
-    n = max(f.n, g.n)
-    f, g = pad_to(f, n), pad_to(g, n)
+    (f, nf), (g, ng) = _read_table(args.f), _read_table(args.g)
+    n = max(nf, ng)
+    _check_canonical_n(n)
+    f, g = pad_to(_densify(f, nf), n), pad_to(_densify(g, ng), n)
     witness = are_isomorphic(f, g)
     _emit(
         dumps(
@@ -238,7 +252,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it as it
+    was, and each call gets a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="cubestable",
         description="Exact tooling for locally stable Boolean functions on Q_n.",

@@ -129,10 +129,26 @@ def inverse(a: SignedAutomorphism) -> SignedAutomorphism:
 
 
 @lru_cache(maxsize=8)
-def _permutation_tables(n: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(sigma, permuted-vertex table) pairs for all of S_n; cached for small n."""
-    vertices = np.arange(1 << n)
-    return [(sigma, _permute_mask(sigma, vertices)) for sigma in permutations(range(n))]
+def _permutation_tables(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """S_n in group order and the (n!, 2**n) uint8 table of permuted vertices."""
+    sigmas = list(permutations(range(n)))
+    vertices = np.arange(1 << n, dtype=np.uint8)
+    return sigmas, np.array([_permute_mask(s, vertices) for s in sigmas], np.uint8)
+
+
+#: Gather entries per block of canonical_form: n <= 6 is one block, n = 7
+#: twenty blocks of 256 permutations.  A live block holds about 1.1 bytes
+#: per entry (the gathered values and their packed keys): one n = 7 call in
+#: a fresh process peaks at 41 MB RSS, 12 MB above the imported package.
+#: 2**24 entries peaked at 70 MB and ran no faster.
+_CANONICAL_BLOCK = 1 << 22
+
+
+def _check_canonical_n(n: int) -> None:
+    if n > MAX_CANONICAL_N:
+        raise DimensionTooLarge(
+            f"canonical_form scans 2**(n+1) n! maps; n={n} exceeds {MAX_CANONICAL_N}"
+        )
 
 
 def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
@@ -141,44 +157,55 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     The representative is the orbit member whose value sequence
     f(0), f(1), ... is lexicographically smallest with +1 < -1; i.e. the
     member whose packed bits, read vertex 0 first, are smallest.  The
-    returned witness a satisfies ``apply(a, f) == representative``, which is
-    re-checked before returning.
+    witness is the first element in :func:`group_elements` order that
+    reaches it, and ``apply(witness, f) == representative`` is re-checked
+    before returning.
 
-    Brute force over the whole group, one gather per permutation: one
-    random table takes about 2 ms at n = 5, 33 ms at n = 6 and 0.8 s at
-    n = :data:`MAX_CANONICAL_N` (2-core Xeon, after the permutation tables
-    are cached; building them at n = 7 takes 0.19 s once), so no budget is
-    needed.  Refused beyond n = :data:`MAX_CANONICAL_N`.
+    Brute force over the whole group: one gather of f through all 2**n n!
+    vertex maps (each translate of f read through each coordinate
+    permutation), then one lexicographic minimum over the packed value
+    sequences.  One random table takes 0.2-0.4 ms at n = 5, 3-6 ms at
+    n = 6 and 0.13-0.15 s at n = :data:`MAX_CANONICAL_N` (2-core Xeon,
+    after the permutation tables are cached; building them at n = 7 takes
+    0.1 s once), so no budget is needed.  Refused beyond
+    n = :data:`MAX_CANONICAL_N`.
     """
     n = f.n
-    if n > MAX_CANONICAL_N:
-        raise DimensionTooLarge(
-            f"canonical_form scans 2**(n+1) n! maps; n={n} exceeds {MAX_CANONICAL_N}"
-        )
+    _check_canonical_n(n)
     size = 1 << n
-    full = (1 << size) - 1
     vals = _unpack(f.bits, n)
-    alphas = np.arange(size)[:, None]
-    best_key: int | None = None
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    for sigma, table in _permutation_tables(n):
-        # Row alpha of the gather is the value sequence of (1, alpha, sigma);
-        # packed in reverse, vertex 0 is the key's most significant bit, so
-        # integer order of keys is lexicographic order of sequences.
-        packed = _pack(vals[table ^ alphas][:, ::-1])
-        for alpha in range(size):
-            key = (packed >> (alpha * size)) & full
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (1, alpha, sigma)
-            flipped = key ^ full
-            if flipped < best_key:
-                best_key = flipped
-                best = (-1, alpha, sigma)
-    assert best is not None and best_key is not None
-    epsilon, alpha, sigma = best
-    witness = SignedAutomorphism(n, epsilon, alpha, sigma)
-    rep = TruthTable(n, _pack(_unpack(best_key, n)[::-1]))
+    vertices = np.arange(size, dtype=np.uint8)
+    # Every vertex map sends vertex 0 to alpha.  A sequence and its
+    # complement differ there, so of (1, alpha, sigma) and (-1, alpha, sigma)
+    # only the one starting with +1 can be least: epsilon = -1 iff
+    # f(alpha) = -1.  Row alpha of shifted is f(. ^ alpha) with that sign.
+    shifted = vals[vertices[:, None] ^ vertices] ^ vals[:, None]
+    sigmas, perm = _permutation_tables(n)
+    step = max(1, _CANONICAL_BLOCK >> (2 * n))
+    best_key, best_row = b"", 0
+    for start in range(0, len(sigmas), step):
+        # gathered[alpha, s] is the value sequence of the element with alpha
+        # and sigmas[start + s], since phi(v) = perm[., v] ^ alpha.  Packed
+        # big-endian, vertex 0 is the first bit, so byte-wise order of keys
+        # is lexicographic order of sequences; transposed, rows run in
+        # group order.
+        gathered = np.take(shifted, perm[start : start + step], axis=1)
+        keys = np.packbits(gathered, axis=-1, bitorder="big").transpose(1, 0, 2)
+        keys = keys.reshape(-1, (size + 7) // 8)
+        rows = np.arange(len(keys))
+        for column in keys.T:
+            values = column[rows]
+            rows = rows[values == values.min()]
+        key = keys[rows[0]].tobytes()
+        # Strict <, like the first-minimum filter above: ties keep the
+        # earlier block.
+        if not best_key or key < best_key:
+            best_key, best_row = key, start * size + int(rows[0])
+    sigma_index, alpha = divmod(best_row, size)
+    epsilon = -1 if vals[alpha] else 1
+    witness = SignedAutomorphism(n, epsilon, alpha, sigmas[sigma_index])
+    best = np.frombuffer(best_key, np.uint8)
+    rep = TruthTable(n, _pack(np.unpackbits(best, count=size, bitorder="big")))
     if apply(witness, f) != rep:
         raise AssertionError("canonical witness failed re-verification")
     return rep, witness

@@ -132,6 +132,27 @@ def test_isomorphic_pads_dimensions(capsys, tmp_path):
     assert json.loads(out)["isomorphic"] is True
 
 
+def test_canon_and_isomorphic_refuse_large_n_before_densifying(capsys, tmp_path):
+    # Densifying x_1 on Q_26 would take seconds and more than 1 GB.
+    doc = {"n": 26, "encoding": "sparse", "terms": [{"vars": [1], "num": 1, "log2_den": 0}]}
+    big = tmp_path / "x1_q26.json"
+    big.write_text(json.dumps(doc) + "\n")
+    small = write_function(tmp_path, "f.json", cs.TruthTable.dictator(3, 1))
+    for argv in (
+        ["canon", "--f", str(big)],
+        ["isomorphic", "--f", small, "--g", str(big)],
+        ["isomorphic", "--f", str(big), "--g", small],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "DimensionTooLarge",
+            "message": "canonical_form scans 2**(n+1) n! maps; n=26 exceeds 7",
+        }
+
+
 def test_construct_lemma7(capsys, tmp_path):
     x1 = cs.SparsePolynomial.variable(1)
     x2 = cs.SparsePolynomial.variable(2)
@@ -349,3 +370,19 @@ def test_usage_exit_code_from_argparse(capsys):
     capsys.readouterr()
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cached_parser_keeps_calls_independent(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["enumerate", "--n", "4"]) == 2
+    assert cli.main(["--help"]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["enumerate", "--n", "4", "--k", "2", "--emit", "jsonl"])
+    assert code == 0 and len(out.splitlines()) == 36
+    # No --emit now: the count line, not the previous call's jsonl.
+    code, out, _ = run(capsys, ["enumerate", "--n", "4", "--k", "2"])
+    assert code == 0
+    assert json.loads(out) == {"n": 4, "k": 2, "method": "table", "F": "36"}
+    path = write_function(tmp_path, "f.json", cs.TruthTable(5, 0x9C3A_61F0))
+    first = run(capsys, ["canon", "--f", path])
+    assert first[0] == 0 and run(capsys, ["canon", "--f", path]) == first

@@ -1,10 +1,13 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
+import numpy as np
 import pytest
 
 import cubestable as cs
+from cubestable.core import _pack, _unpack
 from cubestable.errors import DimensionMismatch, DimensionTooLarge, ShrinkNotAllowed
+from cubestable.group import _permute_mask
 
 
 def random_element(rng: random.Random, n: int) -> cs.SignedAutomorphism:
@@ -153,6 +156,58 @@ def test_canonical_witness_is_first_minimiser_in_group_order():
         assert cs.canonical_form(f)[1] == first
 
 
+def loop_canonical_form(f: cs.TruthTable) -> tuple[cs.TruthTable, cs.SignedAutomorphism]:
+    """Reference: one gather per sigma, then one big-int key per (alpha, epsilon)."""
+    n = f.n
+    size = 1 << n
+    full = (1 << size) - 1
+    vals = _unpack(f.bits, n)
+    vertices = np.arange(size)
+    alphas = vertices[:, None]
+    best_key, best = None, None
+    for sigma in permutations(range(n)):
+        # Packed in reverse, vertex 0 is the key's most significant bit.
+        packed = _pack(vals[_permute_mask(sigma, vertices) ^ alphas][:, ::-1])
+        for alpha in range(size):
+            key = (packed >> (alpha * size)) & full
+            if best_key is None or key < best_key:
+                best_key, best = key, (1, alpha, sigma)
+            if key ^ full < best_key:
+                best_key, best = key ^ full, (-1, alpha, sigma)
+    epsilon, alpha, sigma = best
+    rep = cs.TruthTable(n, _pack(_unpack(best_key, n)[::-1]))
+    return rep, cs.SignedAutomorphism(n, epsilon, alpha, sigma)
+
+
+def test_canonical_form_matches_loop_reference():
+    rng = random.Random(15)
+    tables = [cs.TruthTable(n, rng.getrandbits(1 << n)) for n in (5, 5, 5, 5, 6, 6, 6)]
+    for n in (5, 6):
+        tables += [cs.TruthTable.constant(n, 1), cs.TruthTable.constant(n, -1)]
+        tables += [cs.TruthTable.dictator(n, i) for i in (1, n)]
+        tables += [cs.TruthTable.character(n, (1 << n) - 1)]
+    # Large stabilisers: many elements reach the representative.  Times the
+    # parity, the 1- and 2-functions give 4- and 3-functions.
+    parity = cs.TruthTable.character(5, 0b11111).bits
+    for k in (1, 2):
+        for f in islice(cs.enumerate_spectral(5, k), 8):
+            tables += [f, cs.TruthTable(5, f.bits ^ parity)]
+    tables.append(cs.TruthTable(7, rng.getrandbits(128)))
+    for f in tables:
+        assert cs.canonical_form(f) == loop_canonical_form(f), f
+
+
+def test_canonical_form_blocks_keep_the_first_minimiser(monkeypatch, kfn):
+    # One permutation per block, so minimisers tie across blocks as they
+    # can at n = 7.
+    monkeypatch.setattr("cubestable.group._CANONICAL_BLOCK", 1)
+    tables = [cs.TruthTable.constant(4, 1), cs.TruthTable.dictator(5, 3)]
+    tables += kfn(4, 1)[:4] + kfn(4, 2)[:8] + kfn(4, 3)[:4]
+    tables.append(cs.TruthTable(5, random.Random(16).getrandbits(32)))
+    for f in tables:
+        assert cs.canonical_form(f) == loop_canonical_form(f), f
+
+
 def test_canonical_dimension_ceiling():
     with pytest.raises(DimensionTooLarge):
         cs.canonical_form(cs.TruthTable.constant(8, 1))
@@ -221,3 +276,21 @@ def test_orbit_stabilizer_on_k_function_classes(kfn):
             for cls in classes:
                 assert order % len(cls) == 0  # orbit size divides the group order
                 assert 1 <= len(cls) <= order
+
+
+def test_orbit_classes_give_g_at_n5():
+    # Multiplying by the parity x1...x5 maps the k-functions onto the
+    # (5 - k)-functions and classes onto classes; k = 3 is reached that way,
+    # since enumerating it directly takes seconds.
+    parity = cs.TruthTable.character(5, 0b11111).bits
+    counts = {}
+    for k in (0, 1, 2):
+        if k == 0:
+            tables = [cs.TruthTable.constant(5, 1), cs.TruthTable.constant(5, -1)]
+        else:
+            tables = list(cs.enumerate_spectral(5, k))
+        complements = [cs.TruthTable(5, f.bits ^ parity) for f in tables]
+        counts[k] = len(cs.orbit_classes(tables))
+        counts[5 - k] = len(cs.orbit_classes(complements))
+        assert all(cs.uniform_flip_count(g) == 5 - k for g in complements)
+    assert [counts[k] for k in range(6)] == [1, 1, 2, 2, 1, 1]
