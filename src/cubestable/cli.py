@@ -240,7 +240,7 @@ def _cmd_scenery(args: argparse.Namespace) -> int:
     if args.compare:
         g = _load_table(args.compare)
         other = exact_scenery(g, args.steps)
-        doc["equal"] = dist.n == other.n and dist.probs == other.probs
+        doc["equal"] = dist == other
         doc["compare_probs"] = scenery_to_json(other)["probs"]
     _emit(dumps(doc))
     return 0

@@ -41,8 +41,9 @@ from .errors import (
 
 #: Largest n for which dense 2**n-entry representations are allowed.  The
 #: table is 8 MiB at n = 26, but its int64 spectrum is 512 MiB: one ``wht``
-#: takes 9.7 s and 1.07 GB peak RSS there (2.3 s and 290 MB at n = 24, on a
-#: 2-core Xeon), so n = 26 fits a 2 GB budget.  Anything bigger stays sparse.
+#: takes 4.6-5.5 s and 626 MB peak RSS there (1.1-1.6 s and 181 MB at
+#: n = 24, on a 2-core Xeon), so n = 26 fits a 2 GB budget.  Anything
+#: bigger stays sparse.
 MAX_DENSE_N = 26
 
 #: Largest 1-based variable index a sparse polynomial may mention.
@@ -403,6 +404,11 @@ def _pack(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
+#: Most pairs one butterfly update touches at a time, so its temporary
+#: ``diff`` holds at most 8 MiB whatever the array's size.
+_BUTTERFLY_BLOCK = 1 << 20
+
+
 def _butterfly(a: np.ndarray) -> None:
     """In-place Walsh-Hadamard butterfly over the last axis of a C-contiguous
     int64 array.
@@ -417,11 +423,21 @@ def _butterfly(a: np.ndarray) -> None:
         # Rows of the batch are whole blocks of 2*h, so one reshape pairs
         # every entry with its partner h further on.
         pairs = a.reshape(-1, 2, h)
-        x = pairs[:, 0]
-        y = pairs[:, 1]
-        diff = x - y
-        x += y
-        y[...] = diff
+        # Whole rows while a row's h pairs fit a block, else slices of one
+        # row; an array of at most 2 * _BUTTERFLY_BLOCK entries is one block.
+        rows = max(1, _BUTTERFLY_BLOCK // h)
+        width = min(h, _BUTTERFLY_BLOCK)
+        blocks = [
+            pairs[r : r + rows, :, c : c + width]
+            for r in range(0, len(pairs), rows)
+            for c in range(0, h, width)
+        ]
+        for block in blocks:
+            x = block[:, 0]
+            y = block[:, 1]
+            diff = x - y
+            x += y
+            y[...] = diff
         h *= 2
 
 
@@ -433,7 +449,10 @@ def wht(f: TruthTable) -> Spectrum:
     """
     if f._spectrum is not None:
         return f._spectrum
-    a = 1 - 2 * _unpack(f.bits, f.n).astype(np.int64)
+    # In place: 1 - 2 * bits as one expression would hold two int64 arrays.
+    a = _unpack(f.bits, f.n).astype(np.int64)
+    a *= -2
+    a += 1
     _butterfly(a)
     spectrum = Spectrum.__new__(Spectrum)
     spectrum._set(f.n, a)

@@ -2,8 +2,14 @@
 
 Walk model: X_0 uniform on V(Q_n); each step moves to a uniformly random
 neighbour; the word is (f(X_0), ..., f(X_L)), L+1 letters.  Everything is
-exact rational arithmetic — the point is to *prove* distributional
+exact integer arithmetic — the point is to *prove* distributional
 equalities, which sampling cannot.
+
+A law is held as integers only: the ascending codes of the words of
+positive probability (bit L - i set when letter i is -1, so ascending codes
+are in the order of the ``+``/``-`` strings), one positive integer weight
+per word, and one integer ``norm``, reduced by their common gcd, so that
+P(word) = weight / norm and equal laws have equal fields.
 
 For a k-function every vertex sees exactly k of its n neighbours disagree,
 so the observed sign flips with probability k/n at every step regardless of
@@ -14,8 +20,8 @@ where the walk is; that closed form is :func:`markov_scenery`, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Mapping
+from math import gcd, lcm
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -30,43 +36,125 @@ MAX_DP_CELLS = 1 << 20
 
 Word = tuple[int, ...]
 
+T = TypeVar("T")
+
+#: Most steps a hand-built law may have: its L + 1 letter bits must fit
+#: an int64 code.
+MAX_CODE_STEPS = 62
+
 _LETTERS = frozenset((1, -1))
+
+
+def _code(word: Word, L: int) -> int:
+    """The word's code: bit L - i set when letter i is -1."""
+    return sum(1 << (L - i) for i, s in enumerate(word) if s == -1)
 
 
 class SceneryDistribution:
     """Exact distribution over +/-1 words of length L+1.
 
-    ``probs`` maps words to positive Fractions; zero-probability words are
-    omitted, so equal distributions have equal mappings.
+    ``codes`` is a read-only int64 array of the ascending codes of the words
+    of positive probability (bit L - i set when letter i is -1),
+    ``weights`` a tuple of positive Python ints, one per code, and the
+    probability of word ``codes[r]`` is ``weights[r] / norm``.  Weights and
+    ``norm`` share no common factor, so equal distributions have equal
+    fields.  ``probs`` builds the ``{word: Fraction}`` mapping on access,
+    and ``probability`` finds one word's code by binary search.  The
+    constructor takes such a mapping for any L up to ``MAX_CODE_STEPS``,
+    omits its zero entries and rejects negative ones.
     """
 
-    __slots__ = ("n", "L", "probs")
+    __slots__ = ("n", "L", "codes", "weights", "norm")
 
     n: int
     L: int
-    probs: dict[Word, Fraction]
+    codes: np.ndarray
+    weights: tuple[int, ...]
+    norm: int
 
     def __init__(self, n: int, L: int, probs: Mapping[Word, Fraction]):
+        if not 0 <= L <= MAX_CODE_STEPS:
+            raise ValueError(
+                f"step count must be in 0..{MAX_CODE_STEPS}, got L={L}"
+            )
+        by_code: dict[int, Fraction] = {}
+        for w, p in probs.items():
+            if len(w) != L + 1 or set(w) - _LETTERS:
+                raise ValueError(f"malformed word {w} for L={L}")
+            p = Fraction(p)
+            if p < 0:
+                raise ValueError(f"negative probability {p} for word {w}")
+            if p:
+                by_code[_code(w, L)] = p
+        codes = sorted(by_code)
+        norm = lcm(*(p.denominator for p in by_code.values()))
+        weights = [int(by_code[c] * norm) for c in codes]
+        self._set(
+            n, L, np.array(codes, dtype=np.int64), np.array(weights, dtype=object), norm
+        )
+
+    def _set(
+        self, n: int, L: int, codes: np.ndarray, weights: np.ndarray, norm: int
+    ) -> None:
+        """Store ascending codes and their positive weights over ``norm``,
+        divided by their common gcd.  ``weights`` is an int64 array, or an
+        object array of Python ints where int64 could overflow."""
+        g = gcd(norm, int(np.gcd.reduce(weights)))
+        codes.flags.writeable = False
         self.n = n
         self.L = L
-        self.probs = {w: p for w, p in probs.items() if p}
-        if set(map(len, self.probs)) - {L + 1} or set().union(*self.probs) - _LETTERS:
-            w = next(w for w in self.probs if len(w) != L + 1 or set(w) - _LETTERS)
-            raise ValueError(f"malformed word {w} for L={L}")
+        self.codes = codes
+        self.weights = tuple((weights // g).tolist())
+        self.norm = norm // g
+
+    def _minus_bits(self) -> np.ndarray:
+        """Row r holds the L+1 letters of word ``codes[r]``, first letter
+        first: 1 for -1 and 0 for +1."""
+        return (self.codes[:, None] >> np.arange(self.L, -1, -1)) & 1
+
+    def word_strings(self) -> list[str]:
+        """The words as ``+``/``-`` strings, in code order (which is their
+        string order)."""
+        # One code point per letter, "+" (43) or "-" (45), each row read as
+        # one numpy string.
+        points = (43 + 2 * self._minus_bits()).astype(np.uint32)
+        return points.view(f"U{self.L + 1}").ravel().tolist()
+
+    def per_word(self, make: Callable[[Fraction], T]) -> list[T]:
+        """``make(P(word))`` for every word in code order, called once per
+        distinct weight; a k-function's law has at most L + 1 of them."""
+        shared = {w: make(Fraction(w, self.norm)) for w in set(self.weights)}
+        return list(map(shared.__getitem__, self.weights))
+
+    @property
+    def probs(self) -> dict[Word, Fraction]:
+        words = map(tuple, (1 - 2 * self._minus_bits()).tolist())
+        return dict(zip(words, self.per_word(lambda p: p)))
 
     def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
+        return Fraction(sum(self.weights), self.norm)
 
     def probability(self, word: Word) -> Fraction:
-        return self.probs.get(tuple(word), Fraction(0))
+        word = tuple(word)
+        if len(word) != self.L + 1 or set(word) - _LETTERS:
+            return Fraction(0)
+        code = _code(word, self.L)
+        r = int(np.searchsorted(self.codes, code))
+        if r < len(self.weights) and self.codes[r] == code:
+            return Fraction(self.weights[r], self.norm)
+        return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SceneryDistribution):
             return NotImplemented
-        return (self.n, self.L, self.probs) == (other.n, other.L, other.probs)
+        return (
+            (self.n, self.L, self.norm, self.weights)
+            == (other.n, other.L, other.norm, other.weights)
+            and np.array_equal(self.codes, other.codes)
+        )
 
     def __repr__(self) -> str:
-        return f"SceneryDistribution(n={self.n}, L={self.L}, words={len(self.probs)})"
+        return f"SceneryDistribution(n={self.n}, L={self.L}, words={len(self.weights)})"
 
 
 def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
@@ -76,7 +164,8 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     the walks that read the prefix and are now at v.  A step adds the n
     neighbour gathers of every row and splits the result by the letter
     read at v; rows that are all zero are dropped.  After L steps row w
-    sums to 2**n * n**L * P(w), so Fractions appear only at the return.
+    sums to 2**n * n**L * P(w): the row sums are the law's weights as they
+    are, over that norm.
     Raises :class:`BudgetExceeded` if L > MAX_STEPS, or if the DP could
     hold more than MAX_DP_CELLS vertex-word cells, before any work.
     """
@@ -116,13 +205,9 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
         live = state.any(axis=1)
         state = state[live]
         codes = codes[live]
-    signs = 1 - 2 * ((codes[:, None] >> np.arange(L, -1, -1)) & 1)
-    norm = size * n**L
-    totals = state.sum(axis=1).tolist()
-    # Equal totals share one Fraction; a k-function's law has at most L + 1.
-    shared = {t: Fraction(t, norm) for t in set(totals)}
-    probs = map(shared.__getitem__, totals)
-    return SceneryDistribution(n, L, dict(zip(map(tuple, signs.tolist()), probs)))
+    dist = SceneryDistribution.__new__(SceneryDistribution)
+    dist._set(n, L, codes, state.sum(axis=1), size * n**L)
+    return dist
 
 
 def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:
@@ -140,16 +225,18 @@ def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:
         raise ValueError("step count must be >= 0")
     if L > MAX_STEPS:
         raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
-    flip = Fraction(k, n)
-    stay = 1 - flip
-    # P(w) depends only on the number c of sign changes in w.
-    by_changes = [flip**c * stay ** (L - c) / 2 for c in range(L + 1)]
-    probs: dict[Word, Fraction] = {}
-    for word in product((1, -1), repeat=L + 1):
-        p = by_changes[sum(a != b for a, b in zip(word, word[1:]))]
-        if p:
-            probs[word] = p
-    return SceneryDistribution(n, L, probs)
+    # P(w) = k**c * (n-k)**(L-c) / (2 * n**L) depends only on the number c
+    # of sign changes in w; Python ints, since n is unbounded.
+    by_changes = np.array(
+        [k**c * (n - k) ** (L - c) for c in range(L + 1)], dtype=object
+    )
+    codes = np.arange(2 << L)
+    weights = by_changes[np.bitwise_count((codes ^ (codes >> 1)) & ((1 << L) - 1))]
+    # Only k = n gives weight zero: every step must change the sign.
+    live = weights > 0
+    dist = SceneryDistribution.__new__(SceneryDistribution)
+    dist._set(n, L, codes[live], weights[live], 2 * n**L)
+    return dist
 
 
 def distributions_equal(a: SceneryDistribution, b: SceneryDistribution) -> bool:
@@ -158,4 +245,4 @@ def distributions_equal(a: SceneryDistribution, b: SceneryDistribution) -> bool:
         raise ShapeMismatch(
             f"shapes (n={a.n}, L={a.L}) and (n={b.n}, L={b.L}) differ"
         )
-    return a.probs == b.probs
+    return a == b

@@ -17,11 +17,18 @@ Witnesses serialize as {"epsilon": +/-1, "alpha": "01...", "sigma": [ints]}
 where alpha's j-th character (0-based) is "1" iff coordinate x_{j+1} is
 negated, and sigma lists the 1-based source coordinate for each output
 coordinate.
+
+Scenery laws serialize as {"L": 2, "probs": {"+++": "9/32", ...}} (a
+1-function on Q_4): one "+"/"-" string per word of positive probability,
+in ascending order, each with its reduced probability as
+"<digits>/<digits>".  Reading one back needs a JSON-integer L and such
+strings with a positive denominator.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -168,19 +175,34 @@ def word_from_str(text: str) -> Word:
 
 
 def scenery_to_json(dist: SceneryDistribution) -> dict[str, Any]:
-    probs = {
-        word_to_str(w): f"{p.numerator}/{p.denominator}"
-        for w, p in dist.probs.items()
-    }
-    return {"L": dist.L, "probs": dict(sorted(probs.items()))}
+    # The codes ascend, so the words come out in the order of their strings.
+    ratios = dist.per_word(lambda p: f"{p.numerator}/{p.denominator}")
+    return {"L": dist.L, "probs": dict(zip(dist.word_strings(), ratios))}
+
+
+_RATIO = re.compile(r"([0-9]+)/([0-9]+)")
 
 
 def scenery_from_json(doc: dict[str, Any], n: int) -> SceneryDistribution:
+    if not isinstance(doc, dict):
+        raise ValueError("scenery document must be a JSON object")
+    L = doc.get("L")
+    # type(), not isinstance(): JSON true is a bool, and bool is an int.
+    if type(L) is not int:
+        raise ValueError(f"scenery L must be an integer, got {L!r}")
+    raw = doc.get("probs")
+    if not isinstance(raw, dict):
+        raise ValueError("scenery document needs a probs object")
     probs: dict[Word, Fraction] = {}
-    for text, frac in doc["probs"].items():
-        num, den = frac.split("/")
-        probs[word_from_str(text)] = Fraction(int(num), int(den))
-    return SceneryDistribution(n, int(doc["L"]), probs)
+    for text, frac in raw.items():
+        match = _RATIO.fullmatch(frac) if isinstance(frac, str) else None
+        if match is None or int(match[2]) == 0:
+            raise ValueError(
+                f"probability of {text!r} must be <digits>/<digits> with a "
+                f"positive denominator, got {frac!r}"
+            )
+        probs[word_from_str(text)] = Fraction(int(match[1]), int(match[2]))
+    return SceneryDistribution(n, L, probs)
 
 
 def dumps(doc: Any) -> str:

@@ -292,6 +292,28 @@ def test_scenery_compare(capsys, tmp_path, two_function_q4):
     assert json.loads(out)["equal"] is True
 
 
+def test_scenery_compare_on_q5(capsys, tmp_path):
+    ones = list(cs.enumerate_spectral(5, 1))
+    twos = list(cs.enumerate_spectral(5, 2))
+    files = {
+        "a": write_function(tmp_path, "a.json", twos[0]),
+        "b": write_function(tmp_path, "b.json", twos[-1]),
+        "one": write_function(tmp_path, "one.json", ones[0]),
+        # The full parities of Q_4 and Q_5 read the same words with the
+        # same probabilities; only n tells their laws apart.
+        "p4": write_function(tmp_path, "p4.json", cs.TruthTable.character(4, 0b1111)),
+        "p5": write_function(tmp_path, "p5.json", cs.TruthTable.character(5, 0b11111)),
+    }
+    for f, g, equal in [("a", "b", True), ("one", "a", False), ("p4", "p5", False)]:
+        code, out, _ = run(
+            capsys, ["scenery", "--f", files[f], "--steps", "6", "--compare", files[g]]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["equal"] is equal, (f, g)
+    assert doc["probs"] == doc["compare_probs"] == {"+-+-+-+": "1/2", "-+-+-+-": "1/2"}
+
+
 def test_sparse_file_keeps_its_declared_n(capsys, tmp_path):
     # x_1 declared on Q_3 is the dictator on Q_3, not a function on Q_1.
     doc = {

@@ -61,6 +61,24 @@ def test_wht_numpy_path_agrees_with_list_path():
         assert sum(c * c for c in spectrum.coeffs) == 4**n
 
 
+def test_butterfly_blocks_match_the_defining_sum(monkeypatch):
+    # An 8-pair block splits n = 5 and 6 tables into slices of one row at
+    # the last stages, and a batch of n = 4 tables into whole rows.
+    from cubestable import core
+
+    rng = random.Random(24)
+    tables = [cs.TruthTable(n, rng.getrandbits(1 << n)) for n in (3, 4, 5, 6) * 3]
+    batch = rng.sample(range(1 << 16), 12)
+    monkeypatch.setattr(core, "_BUTTERFLY_BLOCK", 8)
+    for f in tables:
+        spectrum = cs.wht(f)
+        assert list(spectrum.coeffs) == naive_wht(f)
+        assert cs.inverse_wht(spectrum) == f
+    a = 1 - 2 * core._unpack(np.array(batch, dtype=np.uint64), 4).astype(np.int64)
+    core._butterfly(a)
+    assert a.tolist() == [naive_wht(cs.TruthTable(4, bits)) for bits in batch]
+
+
 def test_parseval_exhaustive_n3():
     for bits in range(256):
         f = cs.TruthTable(3, bits)

@@ -83,6 +83,48 @@ def test_shared_law_on_q5():
         assert cs.exact_scenery(g, 8) == laws[3]
 
 
+def test_exact_and_markov_laws_have_equal_fields():
+    # Norms 2**n * n**L (the DP) and 2 * n**L (the closed form) reduce to the
+    # same value, so equal laws are equal field by field.
+    for n, k, L in [(5, 2, 8), (4, 1, 5), (3, 3, 4), (5, 5, 0)]:
+        f = next(cs.enumerate_spectral(n, k))
+        e = cs.exact_scenery(f, L)
+        m = cs.markov_scenery(n, k, L)
+        assert (e.n, e.L, e.norm, e.weights) == (m.n, m.L, m.norm, m.weights)
+        assert e.codes.tolist() == m.codes.tolist() == sorted(m.codes.tolist())
+        assert e.total() == 1 and e == m
+    # Weights 2**c * 3**(L-c) share no factor with each other or 2 * 5**L.
+    assert cs.markov_scenery(5, 2, 8).norm == 2 * 5**8
+    assert not cs.markov_scenery(5, 2, 8).codes.flags.writeable
+
+
+def test_markov_with_no_chance_to_stay():
+    # k = n: every step changes the sign, so only the two alternating words.
+    for n in (1, 3, 6):
+        for L in (0, 1, 4):
+            d = cs.markov_scenery(n, n, L)
+            up = tuple((-1) ** i for i in range(L + 1))
+            assert d.probs == {up: Fraction(1, 2), tuple(-s for s in up): Fraction(1, 2)}
+            assert (d.weights, d.norm) == ((1, 1), 2)
+            assert d == cs.exact_scenery(cs.TruthTable.character(n, (1 << n) - 1), L)
+
+
+def test_mapping_built_law_equals_the_dp_law():
+    # Denominators 9, 12, 18 and 36 over the DP's norm 2**3 * 3**3.
+    d = cs.exact_scenery(cs.TruthTable(3, 0b00010111), 3)
+    assert {p.denominator for p in d.probs.values()} == {9, 12, 18, 36}
+    built = SceneryDistribution(3, 3, dict(reversed(d.probs.items())))
+    assert built.codes.tolist() == d.codes.tolist()
+    assert (built.weights, built.norm) == (d.weights, d.norm) and d.norm == 36
+    assert built == d
+    assert built != SceneryDistribution(4, 3, d.probs)
+    # The same weights and norm on different words.
+    half = Fraction(1, 2)
+    a = SceneryDistribution(2, 1, {(1, 1): half, (1, -1): half})
+    b = SceneryDistribution(2, 1, {(1, 1): half, (-1, 1): half})
+    assert a != b and not cs.distributions_equal(a, b)
+
+
 def test_markov_hand_values():
     d = cs.markov_scenery(2, 2, 1)
     assert d.probs == {(1, -1): Fraction(1, 2), (-1, 1): Fraction(1, 2)}
@@ -172,3 +214,31 @@ def test_distribution_validation():
         SceneryDistribution(2, 1, {(1, 1, 1): Fraction(1)})
     d = SceneryDistribution(2, 1, {(1, 1): Fraction(1), (1, -1): Fraction(0)})
     assert (1, -1) not in d.probs
+
+
+def test_distribution_rejects_negative_probability():
+    with pytest.raises(ValueError):
+        SceneryDistribution(2, 1, {(1, 1): Fraction(3, 2), (1, -1): Fraction(-1, 2)})
+
+
+def test_distribution_step_bound_is_the_code_width():
+    # Codes are int64, so a hand-built law may have up to 62 steps, past
+    # the DPs' 12-step ceiling.
+    d = SceneryDistribution(1, 13, {(1,) * 14: Fraction(1)})
+    assert d.probability((1,) * 14) == 1
+    word = (-1,) + (1,) * 62
+    d = SceneryDistribution(1, 62, {word: Fraction(1, 3), (1,) * 63: Fraction(2, 3)})
+    assert d.codes.tolist() == [0, 1 << 62]
+    assert d.probability(word) == Fraction(1, 3)
+    for L in (-1, 63):
+        with pytest.raises(ValueError):
+            SceneryDistribution(1, L, {})
+
+
+def test_probability_looks_up_one_word():
+    d = cs.markov_scenery(5, 2, 6)
+    for w, p in d.probs.items():
+        assert d.probability(list(w)) == p
+    assert d.probability((1,) * 6) == 0
+    assert d.probability((1, 0, 1, 1, 1, 1, 1)) == 0
+    assert cs.markov_scenery(3, 3, 2).probability((1, 1, 1)) == 0

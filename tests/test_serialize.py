@@ -150,6 +150,60 @@ def test_scenery_roundtrip():
     assert cs.distributions_equal(back, d)
 
 
+def reference_scenery_json(dist):
+    """Reference formatter: one word and one Fraction at a time, then
+    sorted."""
+    probs = {
+        serialize.word_to_str(w): f"{p.numerator}/{p.denominator}"
+        for w, p in dist.probs.items()
+    }
+    return {"L": dist.L, "probs": dict(sorted(probs.items()))}
+
+
+def test_scenery_json_matches_reference_formatter():
+    cases = []
+    for n in range(1, 6):
+        tables = [cs.TruthTable.constant(n, 1), cs.TruthTable.constant(n, -1)]
+        tables += [cs.TruthTable.dictator(n, i) for i in range(1, n + 1)]
+        tables += [cs.TruthTable.character(n, m) for m in range(1, 1 << n)]
+        cases += [(f, L) for f in tables for L in (0, 1, 5, 8)]
+    rng = random.Random(13)
+    # Random tables are mostly not k-functions: zero-probability words drop.
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        cases.append((cs.TruthTable(n, rng.getrandbits(1 << n)), rng.randint(0, 7)))
+    # The 3-functions as complements of the 2-functions: the (5, 3) search
+    # alone takes seconds.
+    kfunctions = [f for k in (1, 2, 4) for f in cs.enumerate_spectral(5, k)]
+    kfunctions += [cs.complement(f) for f in cs.enumerate_spectral(5, 2)]
+    cases += [(f, 10) for f in rng.sample(kfunctions, 20)]
+    cases.append((cs.TruthTable.constant(8, 1), 11))
+    cases.append((cs.TruthTable(7, rng.getrandbits(1 << 7)), 12))
+    laws = [cs.exact_scenery(f, L) for f, L in cases]
+    laws += [cs.markov_scenery(n, k, L) for n in (1, 4, 30) for k in (1, n) for L in (0, 3)]
+    for d in laws:
+        doc = serialize.scenery_to_json(d)
+        assert serialize.dumps(doc) == serialize.dumps(reference_scenery_json(d))
+        assert list(doc["probs"]) == sorted(doc["probs"])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"L": 1, "probs": {"++": "1/0"}},
+        {"L": True, "probs": {"+-": "1/1"}},
+        {"L": 1.9, "probs": {"+-": "1/1"}},
+        {"L": 1, "probs": {"+-": "-1/2", "-+": "3/2"}},
+        {"L": 1, "probs": {"+-": " 1/2", "-+": "1/2"}},
+        {"L": 63, "probs": {}},
+    ],
+    ids=["zero_denominator", "bool_L", "float_L", "negative", "whitespace", "long_L"],
+)
+def test_scenery_from_json_refuses(doc):
+    with pytest.raises(ValueError):
+        serialize.scenery_from_json(doc, 2)
+
+
 def test_dumps_is_canonical():
     assert serialize.dumps({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
 
