@@ -37,13 +37,6 @@ def parallel_map(
         return list(pool.map(fn, items))
 
 
-def chunk_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `pieces` contiguous (start, stop) runs."""
-    pieces = max(1, min(pieces, total)) if total else 1
-    step = -(-total // pieces)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)] or [(0, 0)]
-
-
 def indices_from_mask(mask: int) -> list[int]:
     """1-based variable indices present in a bit mask, ascending."""
     return [j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1]

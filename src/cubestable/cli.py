@@ -92,7 +92,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.method == "spectral":
         gen = enumerate_spectral(args.n, args.k, node_budget=args.budget_nodes)
     else:
-        gen = enumerate_truth_tables(args.n, args.k, allow_large=args.allow_large)
+        gen = enumerate_truth_tables(args.n, args.k)
     if args.emit == "jsonl":
         for f in gen:
             _emit(dumps(function_to_json(f)))
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("table", "spectral"), default="table")
     p.add_argument("--emit", choices=("jsonl",), default=None)
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_enumerate)
 

@@ -473,8 +473,9 @@ def inverse_wht(s: Spectrum) -> TruthTable:
         raise NotBoolean(f"a coefficient exceeds 2**{s.n} in absolute value")
     a = s._a.astype(np.int64)
     _butterfly(a)
-    # The butterfly applied twice multiplies by 2**n.
-    bad = np.flatnonzero(np.abs(a) != size)
+    # The butterfly applied twice multiplies by 2**n.  Comparing against
+    # both signs builds only boolean temporaries, not an int64 np.abs(a).
+    bad = np.flatnonzero((a != size) & (a != -size))
     if bad.size:
         v = int(bad[0])
         raise NotBoolean(

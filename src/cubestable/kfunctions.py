@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import chunk_ranges, parallel_map, worker_cap
 from .core import TruthTable, _butterfly, _check_dimension, _pack, wht
 from .errors import (
     DimensionTooLarge,
@@ -31,16 +30,12 @@ from .errors import (
 )
 from .group import canonical_form
 
-#: Largest n for which exhaustive truth-table enumeration is offered at all.
-MAX_ENUMERATE_N = 5
+#: Largest n for which truth tables are enumerated.
+MAX_ENUMERATE_N = 4
 
-#: Tables per scan chunk; the scan holds a few uint64 words per table.
-_SCAN_CHUNK = 1 << 20
-
-#: Fewest tables handed to one scan worker.  At n <= 3 (at most 256 tables)
-#: starting a pool costs about 0.15 ms, several times the scan itself, so
-#: those scans run on the calling thread.
-_MIN_PIECE = 1 << 12
+#: Largest n_max of :func:`count_table`; its n = 5 cells come from the
+#: spectral search.
+MAX_COUNT_N = 5
 
 
 def _check_k(n: int, k: int) -> None:
@@ -120,7 +115,11 @@ def p_parameter(n: int, k: int) -> Fraction:
 
 
 def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
-    """Truth-table ints in [start, stop) that are k-functions, ascending."""
+    """Truth-table ints in [start, stop) that are k-functions, ascending.
+
+    The exhaustive definitional route: ``verify``'s criterion 1 sweeps all
+    tables of Q_4 with it.
+    """
     tables = np.arange(start, stop, dtype=np.uint64)
     full = (1 << (1 << n)) - 1
     ok = np.ones(len(tables), dtype=bool)
@@ -129,39 +128,43 @@ def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
     return tables[ok].tolist()
 
 
-def enumerate_truth_tables(
-    n: int, k: int, *, allow_large: bool = False, threads: int | None = None
-) -> Iterator[TruthTable]:
-    """All k-functions on Q_n by exhaustive scan, ascending by packed bits.
+@lru_cache(maxsize=None)
+def _closing_vertices(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry v: each vertex u whose last-assigned member of u and its
+    neighbours is v, as (u, packed mask of u's neighbours)."""
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(1 << n)]
+    for u in range(1 << n):
+        nbrs = [u ^ (1 << j) for j in range(n)]
+        closing[max([u, *nbrs])].append((u, sum(1 << w for w in nbrs)))
+    return tuple(map(tuple, closing))
 
-    The scan covers all 2**(2**n) tables, so n = 5 (2**32 tables, 7 min on one
-    core) must be opted into with ``allow_large``; n > 5 is refused.
-    For n = 5 prefer :func:`enumerate_spectral`.
 
-    Each chunk of the scan is split among at most ``threads`` workers, one
-    per CPU by default; the output never depends on the split.
+def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
+    """All k-functions on Q_n for n <= 4, ascending by packed bits.
+
+    A breadth-first vertex search: vertices 0, 1, ... are assigned in order
+    with f(0) = +1, every partial table is one uint64 and all live ones sit
+    in one array.  A vertex must disagree with exactly k neighbours, which
+    is checked once it and its neighbours are all assigned.  The complements
+    of the survivors are the k-functions with f(0) = -1.
     """
     _check_k(n, k)
     if n > MAX_ENUMERATE_N:
         raise DimensionTooLarge(
-            f"exhaustive enumeration scans 2**(2**n) tables; n={n} > {MAX_ENUMERATE_N}"
+            f"truth-table enumeration supports n <= {MAX_ENUMERATE_N}, got n={n}"
         )
-    if n == MAX_ENUMERATE_N and not allow_large:
-        raise DimensionTooLarge(
-            "n=5 scans 2**32 tables; pass allow_large=True to accept the cost"
-        )
-    total = 1 << (1 << n)
-    for lo in range(0, total, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, total)
-        workers = min(worker_cap(threads), (hi - lo) // _MIN_PIECE)
-        found = parallel_map(
-            lambda piece: _scan_range(n, k, lo + piece[0], lo + piece[1]),
-            chunk_ranges(hi - lo, workers),
-            threads,
-        )
-        for sub in found:
-            for tt in sub:
-                yield TruthTable(n, tt)
+    live = np.zeros(1, dtype=np.uint64)
+    for v, closing in enumerate(_closing_vertices(n)):
+        if v:
+            live = np.concatenate([live, live | (1 << v)])
+        for u, nbrs in closing:
+            # The neighbours that differ from u: the set bits of the mask,
+            # or its clear bits when u's own bit is set.
+            disagree = (live & nbrs) ^ ((live >> u) & 1) * nbrs
+            live = live[np.bitwise_count(disagree) == k]
+    full = (1 << (1 << n)) - 1
+    for bits in np.sort(np.concatenate([live, live ^ full])).tolist():
+        yield TruthTable(n, bits)
 
 
 @lru_cache(maxsize=None)
@@ -280,11 +283,11 @@ def orbit_classes(tables: Sequence[TruthTable]) -> list[list[TruthTable]]:
     return [buckets[key] for key in sorted(buckets)]
 
 
-def _count_cell(n: int, k: int, threads: int | None) -> CountRecord:
-    if n <= 4:
-        tables = list(enumerate_truth_tables(n, k, threads=threads))
+def _count_cell(n: int, k: int) -> CountRecord:
+    if n <= MAX_ENUMERATE_N:
+        tables = list(enumerate_truth_tables(n, k))
         return CountRecord(n, k, len(tables), len(_orbit_buckets(tables)), "truth_table")
-    # n = 5: a 2**32 truth-table scan is out; count through the spectrum.
+    # n = 5: count through the spectrum.
     if k == 0:
         # No disagreeing neighbours forces f constant on the connected Q_n.
         return CountRecord(n, k, 2, None, "constants")
@@ -292,22 +295,19 @@ def _count_cell(n: int, k: int, threads: int | None) -> CountRecord:
     return CountRecord(n, k, count, None, "spectral")
 
 
-def count_table(n_max: int, *, threads: int | None = None) -> list[CountRecord]:
+def count_table(n_max: int) -> list[CountRecord]:
     """F and G for all 0 <= k <= n <= n_max, ordered by (n, k).
 
     F is exact everywhere; G (class counts) is computed for n <= 4 and left
-    None beyond, where orbit classification is not attempted.  ``threads``
-    is the worker budget of each truth-table scan.
+    None beyond, where orbit classification is not attempted.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max > MAX_ENUMERATE_N:
+    if n_max > MAX_COUNT_N:
         raise DimensionTooLarge(
-            f"count_table supports n_max <= {MAX_ENUMERATE_N}, got {n_max}"
+            f"count_table supports n_max <= {MAX_COUNT_N}, got {n_max}"
         )
-    return [
-        _count_cell(n, k, threads) for n in range(n_max + 1) for k in range(n + 1)
-    ]
+    return [_count_cell(n, k) for n in range(n_max + 1) for k in range(n + 1)]
 
 
 def count_table_csv(records: Sequence[CountRecord]) -> str:

@@ -1,11 +1,11 @@
 """The self-check suite behind the ``verify`` CLI subcommand.
 
 Twelve checks, each a single JSON line {"criterion", "name", "status",
-"detail"}.  Criteria 1..11 run twice, with the truth-table scans under
-worker budgets 1 and 8, and the final criterion compares the two renders
-byte for byte.  Wall-clock ceilings are enforced on the three
-slow checks but timings are only ever printed on failure, keeping the pass
-output deterministic.
+"detail"}.  Criteria 1..11 run twice, with criterion 1's sweep over all
+tables of Q_4 under worker budgets 1 and 8, and the final criterion
+compares the two renders byte for byte.  Wall-clock ceilings are enforced
+on the three slow checks but timings are only ever printed on failure,
+keeping the pass output deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import indices_from_mask
+from ._util import indices_from_mask, parallel_map
 from .constructions import (
     complement,
     cover_check,
@@ -69,7 +69,8 @@ def render_line(r: CriterionResult) -> str:
 class _Context:
     """Shared enumeration caches so criteria do not redo each other's work.
 
-    ``threads`` is the worker budget of the truth-table scans behind them.
+    ``threads`` is the worker budget of criterion 1's sweep over all tables
+    of Q_4, the one parallel step of a pass.
     """
 
     def __init__(self, seed: int, threads: int):
@@ -80,14 +81,12 @@ class _Context:
 
     def kfn(self, n: int, k: int) -> list[TruthTable]:
         if (n, k) not in self._kfn:
-            self._kfn[(n, k)] = list(
-                enumerate_truth_tables(n, k, threads=self.threads)
-            )
+            self._kfn[(n, k)] = list(enumerate_truth_tables(n, k))
         return self._kfn[(n, k)]
 
     def table(self) -> list[CountRecord]:
         if self._table is None:
-            self._table = count_table(4, threads=self.threads)
+            self._table = count_table(4)
         return self._table
 
 
@@ -96,7 +95,8 @@ def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
     piece = 1 << 12
     levels = np.bitwise_count(np.arange(16))
 
-    def scan(lo: int, hi: int) -> int:
+    def scan(lo: int) -> int:
+        hi = lo + piece
         # Spectral route: one butterfly over the whole piece; row r is a
         # k-function iff its support lies on level k.
         tables = np.arange(lo, hi, dtype=np.uint64)
@@ -111,7 +111,8 @@ def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
             bad += int((direct != spectral).sum())
         return bad
 
-    mismatches = sum(scan(lo, lo + piece) for lo in range(0, total, piece))
+    # The pieces are the one step of a pass that runs on ``ctx.threads``.
+    mismatches = sum(parallel_map(scan, range(0, total, piece), ctx.threads))
     if mismatches:
         return False, f"{mismatches} of 65536 tables disagree between routes"
     return True, "all 65536 tables on Q_4 agree for every k in 0..4"
@@ -317,7 +318,7 @@ def run_criterion(number: int, ctx: _Context) -> CriterionResult:
 
 
 def run_criteria(seed: int, threads: int) -> list[CriterionResult]:
-    """Criteria 1..11 in order with the truth-table scans under one worker
+    """Criteria 1..11 in order with criterion 1's sweep under one worker
     budget, stopping at the first failure."""
     ctx = _Context(seed, threads)
     results = []
@@ -332,9 +333,9 @@ def run_criteria(seed: int, threads: int) -> list[CriterionResult]:
 def run_verify(seed: int) -> tuple[str, int]:
     """The full 12-criterion report and its exit code.
 
-    Criteria 1..11 run with single-worker truth-table scans; if all pass
-    they run again with 8-worker scans and criterion 12 compares the two
-    rendered reports byte for byte.
+    Criteria 1..11 run with criterion 1's sweep on one worker; if all pass
+    they run again with that sweep on up to 8 workers, and criterion 12
+    compares the two rendered reports byte for byte.
     """
     first = run_criteria(seed, threads=1)
     lines = [render_line(r) for r in first]

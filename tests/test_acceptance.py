@@ -2,7 +2,8 @@
 
 Criteria 1..11 run through :mod:`cubestable.verify` on a shared context so
 enumeration caches are reused; criterion 12 runs the CLI's ``verify`` once,
-which itself compares its passes under worker budgets 1 and 8 byte for byte.
+which itself runs criterion 1's sweep under worker budgets 1 and 8 and
+compares the two passes byte for byte.
 """
 
 import hashlib

@@ -52,8 +52,9 @@ def test_enumerate_thread_budget_is_invisible(capsys, monkeypatch):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
-    code, _, _ = run(capsys, argv + ["--threads", "2"])
-    assert code == 2
+    for flag in ("--threads", "2"), ("--allow-large",):
+        code, out, _ = run(capsys, argv + list(flag))
+        assert (code, out) == (2, "")
 
 
 def test_threads_env_default(capsys, monkeypatch):

@@ -107,6 +107,17 @@ def test_inverse_wht_rejects_non_boolean():
             cs.inverse_wht(spectrum)
 
 
+def test_inverse_wht_names_the_first_bad_vertex():
+    # Vertex 0 of the second spectrum is -1, which is Boolean, so its
+    # first bad vertex is 1.
+    for coeffs, message in (
+        ([0, 2, 0, 0], "spectrum evaluates to 1/2 at vertex 0"),
+        ([-3, -1, 0, 0], "spectrum evaluates to -1/2 at vertex 1"),
+    ):
+        with pytest.raises(NotBoolean, match=f"^{message}$"):
+            cs.inverse_wht(cs.Spectrum(2, coeffs))
+
+
 def test_level_k_coefficient_granularity():
     # All mass on level k >= 1 forces coefficients divisible by 2**(n-k+1).
     for n in range(1, 5):

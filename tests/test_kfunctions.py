@@ -12,6 +12,7 @@ from cubestable.errors import (
     ZeroDimension,
 )
 from cubestable.kfunctions import count_table_csv
+from cubestable.verify import _Context, run_criterion
 
 
 def test_flip_count_examples(two_function_q4):
@@ -129,21 +130,23 @@ def test_enumerate_ascending_and_distinct(kfn):
             assert seq == sorted(seq) and len(set(seq)) == len(seq)
 
 
-def test_enumerate_threads_do_not_change_output():
-    base = list(cs.enumerate_truth_tables(4, 2, threads=1))
-    threaded = list(cs.enumerate_truth_tables(4, 2, threads=8))
-    assert base == threaded
+def test_vertex_search_matches_exhaustive_scan():
+    # Same tables in the same ascending order as the scan of all 2**(2**n).
+    for n in range(5):
+        for k in range(n + 1):
+            got = [f.bits for f in cs.enumerate_truth_tables(n, k)]
+            assert got == kfunctions._scan_range(n, k, 0, 1 << (1 << n))
 
 
 def test_worker_count_is_capped(monkeypatch):
-    reference = list(cs.enumerate_truth_tables(4, 2))
     pools = []
 
     class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records the size, starts nothing."""
+        """Stands in for ThreadPoolExecutor: records the size and the item
+        count, starts nothing."""
 
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -152,27 +155,27 @@ def test_worker_count_is_capped(monkeypatch):
             return False
 
         def map(self, fn, items):
+            pools.append((self.max_workers, len(items)))
             return map(fn, items)
 
-    scans = []
-    scan = kfunctions._scan_range
     monkeypatch.setattr(_util, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(_util.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(
-        kfunctions, "_scan_range", lambda *args: scans.append(args) or scan(*args)
-    )
     assert _util.parallel_map(abs, [-1, -2, -3, -4, -5], 10**6) == [1, 2, 3, 4, 5]
     assert _util.parallel_map(abs, [-1, -2], 10**6) == [1, 2]
-    assert pools == [4, 2]
-    assert list(cs.enumerate_truth_tables(4, 2, threads=10**6)) == reference
-    assert pools == [4, 2, 4] and len(scans) == 4
+    assert pools == [(4, 5), (2, 2)]
+    # The enumerator runs on the calling thread.
+    assert len(list(cs.enumerate_truth_tables(4, 2))) == 36
+    assert pools == [(4, 5), (2, 2)]
+    # Criterion 1's sweep is the one pooled step: 16 pieces on 4 workers.
+    assert run_criterion(1, _Context(42, threads=10**6)).ok
+    assert pools == [(4, 5), (2, 2), (4, 16)]
 
 
 def test_enumerate_dimension_guard():
     with pytest.raises(DimensionTooLarge):
         next(cs.enumerate_truth_tables(5, 2))
     with pytest.raises(DimensionTooLarge):
-        next(cs.enumerate_truth_tables(6, 2, allow_large=True))
+        next(cs.enumerate_truth_tables(6, 2))
 
 
 def test_spectral_agrees_with_scan(kfn):
@@ -272,9 +275,3 @@ def test_count_table_guard():
         cs.count_table(6)
     with pytest.raises(ValueError):
         cs.count_table(-1)
-
-
-def test_count_table_threads_deterministic():
-    assert count_table_csv(cs.count_table(3)) == count_table_csv(
-        cs.count_table(3, threads=8)
-    )
