@@ -17,6 +17,8 @@ import sys
 from functools import lru_cache
 from typing import Any
 
+import numpy as np
+
 from .constructions import (
     cover_check,
     lift_pair,
@@ -159,10 +161,13 @@ def _spectral_certificate(
     h: TruthTable | SparsePolynomial,
 ) -> dict[str, Any]:
     if isinstance(h, TruthTable):
-        spectrum = wht(h)
-        levels = spectrum.support_levels()
-        terms = len(spectrum.support())
-        rel = len(relevant_indices(spectrum))
+        # One scan of the 2**n coefficients gives the levels, the term
+        # count and the relevant variables.
+        masks = np.flatnonzero(wht(h)._a)
+        counts = np.bincount(np.bitwise_count(masks))
+        levels = frozenset(np.flatnonzero(counts).tolist())
+        terms = len(masks)
+        rel = int(np.bitwise_or.reduce(masks)).bit_count()
         parseval_one = True  # Boolean by construction
     else:
         levels = h.support_levels()

@@ -41,9 +41,9 @@ from .errors import (
 
 #: Largest n for which dense 2**n-entry representations are allowed.  The
 #: table is 8 MiB at n = 26, but its int64 spectrum is 512 MiB: one ``wht``
-#: takes 4.6-5.5 s and 626 MB peak RSS there (1.1-1.6 s and 181 MB at
-#: n = 24, on a 2-core Xeon), so n = 26 fits a 2 GB budget.  Anything
-#: bigger stays sparse.
+#: in a fresh process takes 4.7-4.9 s and 621 MB peak RSS there (1.1-1.3 s
+#: and 177 MB at n = 24, on a 2-core Xeon), so n = 26 fits a 2 GB budget.
+#: Anything bigger stays sparse.
 MAX_DENSE_N = 26
 
 #: Largest 1-based variable index a sparse polynomial may mention.
@@ -404,9 +404,11 @@ def _pack(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-#: Most pairs one butterfly update touches at a time, so its temporary
-#: ``diff`` holds at most 8 MiB whatever the array's size.
-_BUTTERFLY_BLOCK = 1 << 20
+#: Most entries of the transposed copy that :func:`_butterfly` runs its low
+#: stages on, and so the bound on its temporaries: 1 MiB of int64, which
+#: stays in a core's cache (a block of 2**17 entries beat one of 2**20 by
+#: about 20% at n = 22 and 24 on a 2-core Xeon).
+_BUTTERFLY_BLOCK = 1 << 17
 
 
 def _butterfly(a: np.ndarray) -> None:
@@ -415,29 +417,48 @@ def _butterfly(a: np.ndarray) -> None:
 
     The last axis has length 2**n; any leading axes are a batch.  Applied
     twice it multiplies by 2**n, so inputs bounded by 2**n in absolute
-    value stay below 2**(2n) <= 2**52, safely inside int64.
+    value stay below 2**(2n) <= 2**52, safely inside int64 (as does the
+    2 * y of an update).
+
+    The stages come in two groups, so that numpy's inner loops run long in
+    both.  Let s be half the bit length of ``a.size`` (ceil(log2(a.size) / 2)
+    for a power of two), but at most n and at most log2(_BUTTERFLY_BLOCK).
+
+    * Coordinates s and above pair entries at least 2**s apart.  They run
+      in place over the whole array.
+    * Coordinates below s pair entries within a row of 2**s.  Blocks of
+      whole rows, at most ``_BUTTERFLY_BLOCK`` entries each, are copied
+      transposed, so that each pair is two whole rows of the copy.  The
+      stages run there, and the block is written back.
+
+    Every update is in place, so the copy is the only temporary: at most
+    ``_BUTTERFLY_BLOCK`` entries, whatever n is.
     """
     m = a.shape[-1]
-    h = 1
-    while h < m:
-        # Rows of the batch are whole blocks of 2*h, so one reshape pairs
-        # every entry with its partner h further on.
-        pairs = a.reshape(-1, 2, h)
-        # Whole rows while a row's h pairs fit a block, else slices of one
-        # row; an array of at most 2 * _BUTTERFLY_BLOCK entries is one block.
-        rows = max(1, _BUTTERFLY_BLOCK // h)
-        width = min(h, _BUTTERFLY_BLOCK)
-        blocks = [
-            pairs[r : r + rows, :, c : c + width]
-            for r in range(0, len(pairs), rows)
-            for c in range(0, h, width)
-        ]
-        for block in blocks:
-            x = block[:, 0]
-            y = block[:, 1]
-            diff = x - y
-            x += y
-            y[...] = diff
+    s = min(
+        m.bit_length() - 1, a.size.bit_length() // 2, _BUTTERFLY_BLOCK.bit_length() - 1
+    )
+    w = 1 << s
+    rows = a.reshape(-1, w)
+    step = _BUTTERFLY_BLOCK // w
+    for r in range(0, len(rows), step):
+        block = rows[r : r + step].T.copy()
+        _stages(block, block.shape[1], 1, w)
+        rows[r : r + step] = block.T
+    _stages(a, 1, w, m)
+
+
+def _stages(a: np.ndarray, run: int, h: int, stop: int) -> None:
+    """The butterfly stages h, 2h, ... below ``stop`` over a contiguous
+    array read as runs of ``run`` entries: run i pairs with run i + h."""
+    while h < stop:
+        pairs = a.reshape(-1, 2, h * run)
+        x = pairs[:, 0]
+        y = pairs[:, 1]
+        # y becomes x - y without a temporary: (x + y) - 2y.
+        x += y
+        y *= -2
+        y += x
         h *= 2
 
 

@@ -81,17 +81,30 @@ def _flip_planes(bits: int | np.ndarray, n: int) -> list:
     return planes
 
 
+def _uniform_flips(bits: int | np.ndarray, n: int) -> int | np.ndarray:
+    """Per table, the flip count every vertex shares, or -1 if they differ.
+
+    ``bits`` is as in :func:`_flip_planes`: one packed table, giving an int,
+    or a uint64 array of tables (n <= 6), giving an int64 array.
+    """
+    full = (1 << (1 << n)) - 1
+    # One True per table: a bool for an int, a bool array for an array.
+    uniform, count = bits >= 0, 0
+    for i, p in enumerate(_flip_planes(bits, n)):
+        # A plane must be all-clear or all-set for every vertex to agree.
+        uniform &= (p == 0) | (p == full)
+        count |= (p == full) << i
+    # count where uniform, else -1
+    return (count + 1) * uniform - 1
+
+
 def uniform_flip_count(f: TruthTable) -> int:
     """The common flip count if f is a k-function for some k, else -1.
 
     A table can be a k-function for at most one k, so this single scan
     answers is_k_function_direct for every k at once.
     """
-    full = (1 << (1 << f.n)) - 1
-    planes = _flip_planes(f.bits, f.n)
-    if any(p not in (0, full) for p in planes):
-        return -1
-    return sum(1 << i for i, p in enumerate(planes) if p)
+    return int(_uniform_flips(f.bits, f.n))
 
 
 def is_k_function_direct(f: TruthTable, k: int) -> bool:
@@ -117,15 +130,10 @@ def p_parameter(n: int, k: int) -> Fraction:
 def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
     """Truth-table ints in [start, stop) that are k-functions, ascending.
 
-    The exhaustive definitional route: ``verify``'s criterion 1 sweeps all
-    tables of Q_4 with it.
+    The exhaustive definitional route over a range of tables (n <= 6).
     """
     tables = np.arange(start, stop, dtype=np.uint64)
-    full = (1 << (1 << n)) - 1
-    ok = np.ones(len(tables), dtype=bool)
-    for i, p in enumerate(_flip_planes(tables, n)):
-        ok &= p == (full if (k >> i) & 1 else 0)
-    return tables[ok].tolist()
+    return tables[_uniform_flips(tables, n) == k].tolist()
 
 
 @lru_cache(maxsize=None)

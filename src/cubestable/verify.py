@@ -31,7 +31,7 @@ from .core import TruthTable, _butterfly, _sparse_numerators, _unpack
 from .group import group_order
 from .kfunctions import (
     CountRecord,
-    _scan_range,
+    _uniform_flips,
     count_table,
     count_table_csv,
     enumerate_truth_tables,
@@ -93,23 +93,23 @@ class _Context:
 def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
     total = 1 << 16
     piece = 1 << 12
-    levels = np.bitwise_count(np.arange(16))
+    # Bit S of levels[k] is set iff the mask S lies on level k.
+    levels = [sum(1 << S for S in range(16) if S.bit_count() == k) for k in range(5)]
 
     def scan(lo: int) -> int:
-        hi = lo + piece
-        # Spectral route: one butterfly over the whole piece; row r is a
-        # k-function iff its support lies on level k.
-        tables = np.arange(lo, hi, dtype=np.uint64)
-        spectra = 1 - 2 * _unpack(tables, 4).astype(np.int64)
+        tables = np.arange(lo, lo + piece, dtype=np.uint64)
+        # Spectral route: one butterfly over the whole piece, each table's
+        # support as a 16-bit mask, and the level k that holds it, or -1.
+        spectra = _unpack(tables, 4).astype(np.int64)
+        spectra *= -2
+        spectra += 1
         _butterfly(spectra)
-        support = spectra != 0
-        bad = 0
+        support = (spectra != 0) @ (1 << np.arange(16))
+        spectral = np.full(piece, -1)
         for k in range(5):
-            # Definitional route: the flip-count planes of the whole piece.
-            direct = np.isin(tables, _scan_range(4, k, lo, hi))
-            spectral = ~(support & (levels != k)).any(axis=1)
-            bad += int((direct != spectral).sum())
-        return bad
+            spectral[(support & ~levels[k]) == 0] = k
+        # Definitional route: each table's uniform flip count, or -1.
+        return int((_uniform_flips(tables, 4) != spectral).sum())
 
     # The pieces are the one step of a pass that runs on ``ctx.threads``.
     mismatches = sum(parallel_map(scan, range(0, total, piece), ctx.threads))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from cubestable import cli, verify
+from cubestable import cli, kfunctions, verify
 from cubestable.core import SparsePolynomial
 from cubestable.verify import _Context, render_line, run_criterion
 
@@ -36,6 +36,32 @@ def _check(number, ctx):
 
 def test_criterion_01_definitional_spectral_equivalence(ctx):
     _check(1, ctx)
+
+
+def _skipping_butterfly(a):
+    """The butterfly without its first stage (the pairs one entry apart)."""
+    h = 2
+    while h < a.shape[-1]:
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0], pairs[:, 1]
+        x[...], y[...] = x + y, x - y
+        h *= 2
+
+
+def _off_by_one_flips(bits, n):
+    return kfunctions._uniform_flips(bits, n) + 1
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [("_butterfly", _skipping_butterfly), ("_uniform_flips", _off_by_one_flips)],
+)
+def test_criterion_01_fails_on_a_wrong_route(monkeypatch, name, wrong):
+    monkeypatch.setattr(verify, name, wrong)
+    result = run_criterion(1, _Context(SEED, threads=1))
+    assert not result.ok
+    count, rest = result.detail.split(" ", 1)
+    assert int(count) > 0 and rest == "of 65536 tables disagree between routes"
 
 
 def test_criterion_02_boundary_counts(ctx):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -62,8 +63,9 @@ def test_wht_numpy_path_agrees_with_list_path():
 
 
 def test_butterfly_blocks_match_the_defining_sum(monkeypatch):
-    # An 8-pair block splits n = 5 and 6 tables into slices of one row at
-    # the last stages, and a batch of n = 4 tables into whole rows.
+    # An 8-entry block copies n = 5 and 6 tables and a batch of n = 4
+    # tables one row of 8 entries at a time, leaving the rest to the high
+    # stages.
     from cubestable import core
 
     rng = random.Random(24)
@@ -77,6 +79,57 @@ def test_butterfly_blocks_match_the_defining_sum(monkeypatch):
     a = 1 - 2 * core._unpack(np.array(batch, dtype=np.uint64), 4).astype(np.int64)
     core._butterfly(a)
     assert a.tolist() == [naive_wht(cs.TruthTable(4, bits)) for bits in batch]
+
+
+def _defining_sums(a: np.ndarray) -> np.ndarray:
+    """``naive_wht`` over the last axis as matrix products, 256 masks each."""
+    v = np.arange(a.shape[-1])
+    out = np.empty_like(a)
+    for lo in range(0, len(v), 256):
+        odd = np.bitwise_count(v[lo : lo + 256, None] & v) & 1
+        chi = 1 - 2 * odd.astype(np.int64)
+        out[..., lo : lo + 256] = a @ chi.T
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 24])
+def test_butterfly_shape_grid_matches_the_defining_sum(monkeypatch, block):
+    from cubestable import core
+
+    rng = random.Random(14)
+    for n in range(5):
+        f = cs.TruthTable(n, rng.getrandbits(1 << n))
+        assert _defining_sums(np.array(f.values())).tolist() == naive_wht(f)
+    # A 24-entry block splits the low stages into blocks of 24 // 2**s rows
+    # and leaves the high stages to the rest: a single n = 6 table has rows
+    # of 8 entries in blocks of 3, 3 and 2 rows, then stages 8, 16 and 32.
+    if block:
+        monkeypatch.setattr(core, "_BUTTERFLY_BLOCK", block)
+    shapes = [(rows, 1 << n) for n in range(7) for rows in (0, 1, 3, 4096)]
+    shapes += [(1 << n,) for n in range(13)]
+    gen = np.random.default_rng(14)
+    for shape in shapes:
+        bound = shape[-1]
+        a = gen.integers(-bound, bound + 1, size=shape)
+        want = _defining_sums(a)
+        core._butterfly(a)
+        assert np.array_equal(a, want), shape
+
+
+def test_butterfly_temporaries_are_bounded():
+    # 20 MiB beside a 32 MiB array: at n = 26 the 512 MiB spectrum is then
+    # most of the memory a wht needs, so it fits a 2 GB budget.
+    from cubestable import core
+
+    a = np.ones(1 << 22, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        core._butterfly(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 << 20
+    assert a[0] == 1 << 22 and not a[1:].any()
 
 
 def test_parseval_exhaustive_n3():
