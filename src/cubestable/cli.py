@@ -41,7 +41,7 @@ from .kfunctions import (
     enumerate_spectral,
     enumerate_truth_tables,
 )
-from .scenery import exact_scenery
+from .scenery import _check_scenery_size, exact_scenery
 from .serialize import (
     dumps,
     function_from_json,
@@ -85,11 +85,6 @@ def _densify(obj: TruthTable | SparsePolynomial, n: int) -> TruthTable:
     return inverse_wht(spectrum_from_sparse(obj, n))
 
 
-def _load_table(path: str) -> TruthTable:
-    """A function file as a truth table on the n of :func:`_read_table`."""
-    return _densify(*_read_table(path))
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.method == "spectral":
         gen = enumerate_spectral(args.n, args.k, node_budget=args.budget_nodes)
@@ -114,7 +109,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "n": r.n,
             "k": r.k,
             "F": str(r.F),
-            "G": None if r.G is None else str(r.G),
+            "G": str(r.G),
             "method": r.method,
         }
         for r in records
@@ -239,12 +234,16 @@ def _cmd_sos(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenery(args: argparse.Namespace) -> int:
-    f = _load_table(args.f)
-    dist = exact_scenery(f, args.steps)
+    # Both files are refused before either is densified on its declared n.
+    f, nf = _read_table(args.f)
+    _check_scenery_size(nf, args.steps)
+    if args.compare:
+        g, ng = _read_table(args.compare)
+        _check_scenery_size(ng, args.steps)
+    dist = exact_scenery(_densify(f, nf), args.steps)
     doc = scenery_to_json(dist)
     if args.compare:
-        g = _load_table(args.compare)
-        other = exact_scenery(g, args.steps)
+        other = exact_scenery(_densify(g, ng), args.steps)
         doc["equal"] = dist == other
         doc["compare_probs"] = scenery_to_json(other)["probs"]
     _emit(dumps(doc))

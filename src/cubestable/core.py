@@ -140,6 +140,13 @@ class TruthTable:
         return f"TruthTable(n={self.n}, bits=0x{self.bits:0{digits}x})"
 
 
+def _check_integer_type(t: type, what: str) -> None:
+    # Check types, not values: bool is an int, and int() would silently
+    # truncate a float.
+    if t is bool or not issubclass(t, (int, np.integer)):
+        raise ValueError(f"{what} of type {t.__name__} is not an integer")
+
+
 class Spectrum:
     """Integer-scaled Fourier coefficients of a function on Q_n.
 
@@ -157,11 +164,8 @@ class Spectrum:
         cs = list(coeffs)
         if len(cs) != (1 << n):
             raise ValueError(f"expected {1 << n} coefficients, got {len(cs)}")
-        # Check types, not values: bool is an int, and int() would silently
-        # truncate a float.
         for t in set(map(type, cs)):
-            if t is bool or not issubclass(t, (int, np.integer)):
-                raise ValueError(f"coefficient of type {t.__name__} is not an integer")
+            _check_integer_type(t, "coefficient")
         try:
             self._set(n, np.array(cs, dtype=np.int64))
         except OverflowError:
@@ -245,6 +249,8 @@ class SparsePolynomial:
     def __init__(self, terms: Mapping[int, tuple[int, int]]):
         clean: dict[int, tuple[int, int]] = {}
         for mask, (num, log2_den) in terms.items():
+            for what, x in (("mask", mask), ("num", num), ("log2_den", log2_den)):
+                _check_integer_type(type(x), what)
             mask = int(mask)
             if mask < 0 or mask.bit_length() > MAX_VAR_INDEX:
                 raise IndexOverflow(

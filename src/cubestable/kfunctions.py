@@ -7,7 +7,10 @@ Both characterizations are implemented, independently, so each can check
 the other.
 
 ``F(n, k)`` counts k-functions on Q_n; ``G(n, k)`` counts them up to signed
-automorphism and global sign.
+automorphism and global sign.  :func:`count_table` takes both for n <= 5
+from one breadth-first vertex search over partial truth tables;
+:func:`enumerate_spectral`, a search over level-k spectra, is the second
+route to the same sets.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .errors import (
 )
 from .group import canonical_form
 
-#: Largest n for which truth tables are enumerated.
+#: Largest n for which :func:`enumerate_truth_tables` lists truth tables.
 MAX_ENUMERATE_N = 4
 
-#: Largest n_max of :func:`count_table`; its n = 5 cells come from the
-#: spectral search.
+#: Largest n_max of :func:`count_table`; the vertex search counts every
+#: cell up to it.
 MAX_COUNT_N = 5
 
 
@@ -147,8 +150,8 @@ def _closing_vertices(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, closing))
 
 
-def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
-    """All k-functions on Q_n for n <= 4, ascending by packed bits.
+def _vertex_search(n: int, k: int) -> list[int]:
+    """The packed tables of all k-functions on Q_n, ascending.
 
     A breadth-first vertex search: vertices 0, 1, ... are assigned in order
     with f(0) = +1, every partial table is one uint64 and all live ones sit
@@ -156,11 +159,6 @@ def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
     is checked once it and its neighbours are all assigned.  The complements
     of the survivors are the k-functions with f(0) = -1.
     """
-    _check_k(n, k)
-    if n > MAX_ENUMERATE_N:
-        raise DimensionTooLarge(
-            f"truth-table enumeration supports n <= {MAX_ENUMERATE_N}, got n={n}"
-        )
     live = np.zeros(1, dtype=np.uint64)
     for v, closing in enumerate(_closing_vertices(n)):
         if v:
@@ -171,7 +169,18 @@ def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
             disagree = (live & nbrs) ^ ((live >> u) & 1) * nbrs
             live = live[np.bitwise_count(disagree) == k]
     full = (1 << (1 << n)) - 1
-    for bits in np.sort(np.concatenate([live, live ^ full])).tolist():
+    return np.sort(np.concatenate([live, live ^ full])).tolist()
+
+
+def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
+    """All k-functions on Q_n for n <= 4, ascending by packed bits, by the
+    vertex search of :func:`_vertex_search`."""
+    _check_k(n, k)
+    if n > MAX_ENUMERATE_N:
+        raise DimensionTooLarge(
+            f"truth-table enumeration supports n <= {MAX_ENUMERATE_N}, got n={n}"
+        )
+    for bits in _vertex_search(n, k):
         yield TruthTable(n, bits)
 
 
@@ -270,7 +279,7 @@ class CountRecord:
     n: int
     k: int
     F: int
-    G: int | None
+    G: int
     method: str
 
 
@@ -292,23 +301,13 @@ def orbit_classes(tables: Sequence[TruthTable]) -> list[list[TruthTable]]:
 
 
 def _count_cell(n: int, k: int) -> CountRecord:
-    if n <= MAX_ENUMERATE_N:
-        tables = list(enumerate_truth_tables(n, k))
-        return CountRecord(n, k, len(tables), len(_orbit_buckets(tables)), "truth_table")
-    # n = 5: count through the spectrum.
-    if k == 0:
-        # No disagreeing neighbours forces f constant on the connected Q_n.
-        return CountRecord(n, k, 2, None, "constants")
-    count = sum(1 for _ in enumerate_spectral(n, k))
-    return CountRecord(n, k, count, None, "spectral")
+    tables = [TruthTable(n, bits) for bits in _vertex_search(n, k)]
+    return CountRecord(n, k, len(tables), len(_orbit_buckets(tables)), "truth_table")
 
 
 def count_table(n_max: int) -> list[CountRecord]:
-    """F and G for all 0 <= k <= n <= n_max, ordered by (n, k).
-
-    F is exact everywhere; G (class counts) is computed for n <= 4 and left
-    None beyond, where orbit classification is not attempted.
-    """
+    """F and G for all 0 <= k <= n <= n_max, ordered by (n, k), both from
+    the vertex search: F counts its tables and G their canonical forms."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > MAX_COUNT_N:
@@ -319,9 +318,6 @@ def count_table(n_max: int) -> list[CountRecord]:
 
 
 def count_table_csv(records: Sequence[CountRecord]) -> str:
-    """The table as CSV text: header n,k,F,G,method; G empty where unknown."""
-    lines = ["n,k,F,G,method"]
-    for r in records:
-        g = "" if r.G is None else str(r.G)
-        lines.append(f"{r.n},{r.k},{r.F},{g},{r.method}")
-    return "\n".join(lines) + "\n"
+    """The table as CSV text: header n,k,F,G,method."""
+    rows = (f"{r.n},{r.k},{r.F},{r.G},{r.method}" for r in records)
+    return "\n".join(["n,k,F,G,method", *rows]) + "\n"

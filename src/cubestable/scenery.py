@@ -157,6 +157,24 @@ class SceneryDistribution:
         return f"SceneryDistribution(n={self.n}, L={self.L}, words={len(self.weights)})"
 
 
+def _check_scenery_size(n: int, L: int) -> None:
+    """Refuse an exact scenery DP on Q_n over L steps: ZeroDimension if
+    n < 1, ValueError if L < 0, and :class:`BudgetExceeded` if L > MAX_STEPS
+    or if the DP could hold more than MAX_DP_CELLS vertex-word cells.  It
+    needs only n, so a sparse function can be refused before it is
+    densified."""
+    if n < 1:
+        raise ZeroDimension("the walk needs at least one coordinate to move")
+    if L < 0:
+        raise ValueError("step count must be >= 0")
+    if L > MAX_STEPS:
+        raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
+    if (1 << n) << (L + 1) > MAX_DP_CELLS:
+        raise BudgetExceeded(
+            f"2**{n} vertices x 2**{L + 1} words exceeds the {MAX_DP_CELLS}-cell ceiling"
+        )
+
+
 def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     """The word distribution under the walk model, by dynamic programming.
 
@@ -166,21 +184,11 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     read at v; rows that are all zero are dropped.  After L steps row w
     sums to 2**n * n**L * P(w): the row sums are the law's weights as they
     are, over that norm.
-    Raises :class:`BudgetExceeded` if L > MAX_STEPS, or if the DP could
-    hold more than MAX_DP_CELLS vertex-word cells, before any work.
+    Raises as :func:`_check_scenery_size` does, before any work.
     """
-    if f.n < 1:
-        raise ZeroDimension("the walk needs at least one coordinate to move")
-    if L < 0:
-        raise ValueError("step count must be >= 0")
-    if L > MAX_STEPS:
-        raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
+    _check_scenery_size(f.n, L)
     n = f.n
     size = 1 << n
-    if size << (L + 1) > MAX_DP_CELLS:
-        raise BudgetExceeded(
-            f"2**{n} vertices x 2**{L + 1} words exceeds the {MAX_DP_CELLS}-cell ceiling"
-        )
     # An entry after t steps counts t-step walks into v, so it is at most
     # n**t, and a row sums to at most 2**n * n**L.  Under the two ceilings
     # (2**n * 2**(L+1) <= 2**20, L <= 12) that is at most 2**41 (n = 8,

@@ -145,7 +145,6 @@ def _c3_symmetry(ctx: _Context) -> tuple[bool, str]:
 def _c4_sandwich(ctx: _Context) -> tuple[bool, str]:
     for r in ctx.table():
         order = group_order(r.n)
-        assert r.G is not None
         if not (Fraction(r.F, order) <= r.G <= r.F):
             return False, f"sandwich fails at (n,k)=({r.n},{r.k}): F={r.F}, G={r.G}"
     return True, "F/(2**(n+1) n!) <= G <= F on all 15 records"

@@ -1,5 +1,6 @@
 import json
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ def test_table_csv(capsys):
     assert out == cs.count_table_csv(cs.count_table(2))
 
 
+def test_table_n5_matches_golden(capsys):
+    code, out, _ = run(capsys, ["table", "--n-max", "5"])
+    assert code == 0
+    golden = resources.files("cubestable").joinpath("data/count_table_n5.csv")
+    assert out == golden.read_text(encoding="ascii")
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, ["table", "--n-max", "1", "--out", "json"])
     assert code == 0
@@ -151,6 +159,29 @@ def test_canon_and_isomorphic_refuse_large_n_before_densifying(capsys, tmp_path)
         assert json.loads(err) == {
             "error": "DimensionTooLarge",
             "message": "canonical_form scans 2**(n+1) n! maps; n=26 exceeds 7",
+        }
+
+
+def test_scenery_refuses_large_n_before_densifying(capsys, tmp_path, monkeypatch):
+    # Densifying x_1 on Q_26 would take seconds and more than 1 GB.
+    doc = {"n": 26, "encoding": "sparse", "terms": [{"vars": [1], "num": 1, "log2_den": 0}]}
+    big = tmp_path / "x1_q26.json"
+    big.write_text(json.dumps(doc) + "\n")
+    small = write_function(tmp_path, "f.json", cs.TruthTable.dictator(3, 1))
+
+    def refuse(*args):
+        raise AssertionError("spectrum_from_sparse called")
+
+    monkeypatch.setattr(cli, "spectrum_from_sparse", refuse)
+    for argv in (
+        ["scenery", "--f", str(big), "--steps", "1"],
+        ["scenery", "--f", small, "--steps", "1", "--compare", str(big)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "BudgetExceeded",
+            "message": "2**26 vertices x 2**2 words exceeds the 1048576-cell ceiling",
         }
 
 

@@ -405,6 +405,29 @@ def test_sparse_normalization_and_equality():
     assert zero == cs.SparsePolynomial.zero() and zero.terms == {}
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {1: (1.5, 0)},
+        {1.9: (1, 0)},
+        {1: (1, 0.5)},
+        {1: (Fraction(1), 0)},
+        {True: (1, 0)},
+        {1: (True, 0)},
+        {1: (1, False)},
+    ],
+)
+def test_sparse_rejects_non_integer_fields(terms):
+    # int() would turn each of these into a valid term.
+    with pytest.raises(ValueError, match="is not an integer"):
+        cs.SparsePolynomial(terms)
+
+
+def test_sparse_accepts_numpy_integer_fields():
+    p = cs.SparsePolynomial({np.int64(3): (np.int32(2), np.uint8(1))})
+    assert p == cs.SparsePolynomial({3: (1, 0)})
+
+
 def test_sparse_arithmetic_mod_squares():
     x1, x2 = cs.SparsePolynomial.variable(1), cs.SparsePolynomial.variable(2)
     assert (x1 * x1).coefficient(0) == 1  # x**2 = 1

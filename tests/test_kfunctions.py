@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -268,6 +269,26 @@ def test_count_table_csv_shape():
     assert lines[0] == "n,k,F,G,method"
     assert len(lines) == 1 + 6
     assert lines[1].startswith("0,0,2,1,")
+
+
+def test_count_table_n5_matches_golden():
+    data = resources.files("cubestable")
+    n5 = data.joinpath("data/count_table_n5.csv").read_text(encoding="ascii")
+    n4 = data.joinpath("data/count_table_n4.csv").read_text(encoding="ascii")
+    assert count_table_csv(cs.count_table(5)) == n5
+    assert n5.splitlines(keepends=True)[:16] == n4.splitlines(keepends=True)
+
+
+def test_vertex_search_matches_spectral_search_at_n5():
+    # Two independent routes to the same sets; levels 3 and 4 are reached
+    # by complementing the spectral search's levels 2 and 1.
+    for k in range(1, 5):
+        spectral = {f.bits for f in cs.enumerate_spectral(5, min(k, 5 - k))}
+        if k > 2:
+            spectral = {
+                cs.complement(cs.TruthTable(5, bits)).bits for bits in spectral
+            }
+        assert set(kfunctions._vertex_search(5, k)) == spectral
 
 
 def test_count_table_guard():
