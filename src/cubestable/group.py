@@ -151,6 +151,25 @@ def _check_canonical_n(n: int) -> None:
         )
 
 
+def _normalised_gather(vals: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Row [alpha, s]: f (a 0/1 array) read through phi(v) = perm[s, v] ^ alpha,
+    negated where f(alpha) = -1 so that it starts with +1.  Over all of S_n,
+    these rows and their complements are f's orbit."""
+    vertices = np.arange(len(vals), dtype=np.uint8)
+    # Row alpha of shifted is f(. ^ alpha) with that sign.
+    shifted = vals[vertices[:, None] ^ vertices] ^ vals[:, None]
+    return np.take(shifted, perm, axis=1)
+
+
+def _orbit(f: TruthTable) -> np.ndarray:
+    """Every table in f's orbit, packed as uint64, repeats included (n <= 6)."""
+    gathered = _normalised_gather(_unpack(f.bits, f.n), _permutation_tables(f.n)[1])
+    # Byte i of a packed row holds vertices 8i..8i+7.
+    rows = np.packbits(gathered, axis=-1, bitorder="little").astype(np.uint64)
+    images = (rows << np.arange(0, 8 * rows.shape[-1], 8, dtype=np.uint64)).sum(-1)
+    return np.concatenate([images.ravel(), images.ravel() ^ ((1 << (1 << f.n)) - 1)])
+
+
 def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     """The orbit representative of f along with a witness reaching it.
 
@@ -174,22 +193,16 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     _check_canonical_n(n)
     size = 1 << n
     vals = _unpack(f.bits, n)
-    vertices = np.arange(size, dtype=np.uint8)
-    # Every vertex map sends vertex 0 to alpha.  A sequence and its
-    # complement differ there, so of (1, alpha, sigma) and (-1, alpha, sigma)
-    # only the one starting with +1 can be least: epsilon = -1 iff
-    # f(alpha) = -1.  Row alpha of shifted is f(. ^ alpha) with that sign.
-    shifted = vals[vertices[:, None] ^ vertices] ^ vals[:, None]
     sigmas, perm = _permutation_tables(n)
     step = max(1, _CANONICAL_BLOCK >> (2 * n))
     best_key, best_row = b"", 0
     for start in range(0, len(sigmas), step):
-        # gathered[alpha, s] is the value sequence of the element with alpha
-        # and sigmas[start + s], since phi(v) = perm[., v] ^ alpha.  Packed
+        # A sequence and its complement differ at vertex 0, so only the
+        # gathered one, which starts with +1, can be least.  Packed
         # big-endian, vertex 0 is the first bit, so byte-wise order of keys
         # is lexicographic order of sequences; transposed, rows run in
         # group order.
-        gathered = np.take(shifted, perm[start : start + step], axis=1)
+        gathered = _normalised_gather(vals, perm[start : start + step])
         keys = np.packbits(gathered, axis=-1, bitorder="big").transpose(1, 0, 2)
         keys = keys.reshape(-1, (size + 7) // 8)
         rows = np.arange(len(keys))

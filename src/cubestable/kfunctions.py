@@ -7,8 +7,9 @@ Both characterizations are implemented, independently, so each can check
 the other.
 
 ``F(n, k)`` counts k-functions on Q_n; ``G(n, k)`` counts them up to signed
-automorphism and global sign.  :func:`count_table` takes both for n <= 5
-from one breadth-first vertex search over partial truth tables;
+automorphism and global sign.  :func:`count_table` takes both for n <= 6
+from one breadth-first vertex search over partial truth tables, pruned as
+each vertex is assigned, and one orbit sweep per class;
 :func:`enumerate_spectral`, a search over level-k spectra, is the second
 route to the same sets.
 """
@@ -31,14 +32,14 @@ from .errors import (
     SearchBudgetExceeded,
     ZeroDimension,
 )
-from .group import canonical_form
+from .group import _orbit, canonical_form
 
 #: Largest n for which :func:`enumerate_truth_tables` lists truth tables.
 MAX_ENUMERATE_N = 4
 
-#: Largest n_max of :func:`count_table`; the vertex search counts every
-#: cell up to it.
-MAX_COUNT_N = 5
+#: Largest n_max of :func:`count_table`, and of the vertex search behind
+#: it: a partial table is one uint64, and a Q_7 table has 128 bits.
+MAX_COUNT_N = 6
 
 
 def _check_k(n: int, k: int) -> None:
@@ -140,34 +141,48 @@ def _scan_range(n: int, k: int, start: int, stop: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _closing_vertices(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry v: each vertex u whose last-assigned member of u and its
-    neighbours is v, as (u, packed mask of u's neighbours)."""
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(1 << n)]
-    for u in range(1 << n):
-        nbrs = [u ^ (1 << j) for j in range(n)]
-        closing[max([u, *nbrs])].append((u, sum(1 << w for w in nbrs)))
-    return tuple(map(tuple, closing))
+def _prune_checks(n: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Entry v: v and each neighbour u < v, as (u, packed mask of u's
+    neighbours among vertices 0..v, the mask's size).
+
+    A check whose mask holds at most min(k, n - k) vertices cannot fail,
+    so it is left out.
+    """
+    checks = []
+    for v in range(1 << n):
+        row = []
+        for u in [v] + [v ^ (1 << j) for j in range(n) if (v >> j) & 1]:
+            nbrs = [w for w in (u ^ (1 << j) for j in range(n)) if w <= v]
+            if len(nbrs) > min(k, n - k):
+                row.append((u, sum(1 << w for w in nbrs), len(nbrs)))
+        checks.append(tuple(row))
+    return tuple(checks)
 
 
 def _vertex_search(n: int, k: int) -> list[int]:
-    """The packed tables of all k-functions on Q_n, ascending.
+    """The packed tables of all k-functions on Q_n, ascending (n <= 6).
 
     A breadth-first vertex search: vertices 0, 1, ... are assigned in order
     with f(0) = +1, every partial table is one uint64 and all live ones sit
-    in one array.  A vertex must disagree with exactly k neighbours, which
-    is checked once it and its neighbours are all assigned.  The complements
-    of the survivors are the k-functions with f(0) = -1.
+    in one array.  After vertex v, v and each earlier neighbour u of v may
+    have at most k disagreeing and at most n - k agreeing neighbours among
+    vertices 0..v; once all of u's neighbours are assigned, the two bounds
+    force exactly k.  The complements of the survivors are the k-functions
+    with f(0) = -1.  The live array peaks at 203,376 tables, at (6, 3).
     """
+    if n > MAX_COUNT_N:
+        raise DimensionTooLarge(
+            f"a Q_{n} table does not fit one uint64; n <= {MAX_COUNT_N}"
+        )
     live = np.zeros(1, dtype=np.uint64)
-    for v, closing in enumerate(_closing_vertices(n)):
+    for v, checks in enumerate(_prune_checks(n, k)):
         if v:
             live = np.concatenate([live, live | (1 << v)])
-        for u, nbrs in closing:
+        for u, nbrs, size in checks:
             # The neighbours that differ from u: the set bits of the mask,
             # or its clear bits when u's own bit is set.
-            disagree = (live & nbrs) ^ ((live >> u) & 1) * nbrs
-            live = live[np.bitwise_count(disagree) == k]
+            disagree = np.bitwise_count((live & nbrs) ^ ((live >> u) & 1) * nbrs)
+            live = live[(disagree <= k) & (size - disagree <= n - k)]
     full = (1 << (1 << n)) - 1
     return np.sort(np.concatenate([live, live ^ full])).tolist()
 
@@ -283,31 +298,35 @@ class CountRecord:
     method: str
 
 
-def _orbit_buckets(tables: Sequence[TruthTable]) -> dict[int, list[TruthTable]]:
-    buckets: dict[int, list[TruthTable]] = {}
-    for f in tables:
-        rep, _ = canonical_form(f)
-        buckets.setdefault(rep.bits, []).append(f)
-    return buckets
-
-
 def orbit_classes(tables: Sequence[TruthTable]) -> list[list[TruthTable]]:
     """Partition tables into isomorphism classes (canonical-form buckets).
 
     Classes come back ordered by their representative's packed bits.
     """
-    buckets = _orbit_buckets(tables)
+    buckets: dict[int, list[TruthTable]] = {}
+    for f in tables:
+        buckets.setdefault(canonical_form(f)[0].bits, []).append(f)
     return [buckets[key] for key in sorted(buckets)]
 
 
 def _count_cell(n: int, k: int) -> CountRecord:
-    tables = [TruthTable(n, bits) for bits in _vertex_search(n, k)]
-    return CountRecord(n, k, len(tables), len(_orbit_buckets(tables)), "truth_table")
+    cell = np.array(_vertex_search(n, k), dtype=np.uint64)
+    reached = np.zeros(len(cell), dtype=bool)
+    classes = 0
+    for i, bits in enumerate(cell.tolist()):
+        if not reached[i]:
+            reached[np.searchsorted(cell, _orbit(TruthTable(n, bits)))] = True
+            classes += 1
+    return CountRecord(n, k, len(cell), classes, "truth_table")
 
 
 def count_table(n_max: int) -> list[CountRecord]:
-    """F and G for all 0 <= k <= n <= n_max, ordered by (n, k), both from
-    the vertex search: F counts its tables and G their canonical forms."""
+    """F and G for all 0 <= k <= n <= n_max (n_max <= 6), ordered by (n, k).
+
+    F counts the tables of the vertex search.  G counts orbits by one sweep
+    each: the first table not yet reached, taken through the whole group,
+    marks its orbit in the sorted cell.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > MAX_COUNT_N:

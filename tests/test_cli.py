@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cubestable as cs
-from cubestable import _util, cli, serialize
+from cubestable import _util, cli, kfunctions, serialize
 
 
 def run(capsys, argv):
@@ -87,6 +87,23 @@ def test_table_n5_matches_golden(capsys):
     assert code == 0
     golden = resources.files("cubestable").joinpath("data/count_table_n5.csv")
     assert out == golden.read_text(encoding="ascii")
+
+
+def test_table_n6_matches_golden(capsys):
+    code, out, _ = run(capsys, ["table", "--n-max", "6"])
+    assert code == 0
+    golden = resources.files("cubestable").joinpath("data/count_table_n6.csv")
+    assert out == golden.read_text(encoding="ascii")
+
+
+def test_table_refuses_n7_before_counting(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(kfunctions, "_count_cell", unreachable)
+    code, out, err = run(capsys, ["table", "--n-max", "7"])
+    assert (code, out) == (2, "")
+    assert "n_max <= 6" in err
 
 
 def test_table_json(capsys):

@@ -1,10 +1,12 @@
 import random
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
 
 import cubestable as cs
+from cubestable import kfunctions
 from cubestable.core import _pack, _unpack
 from cubestable.errors import DimensionMismatch, DimensionTooLarge, ShrinkNotAllowed
 from cubestable.group import _permute_mask
@@ -281,7 +283,8 @@ def test_orbit_stabilizer_on_k_function_classes(kfn):
 def test_orbit_classes_give_g_at_n5():
     # Multiplying by the parity x1...x5 maps the k-functions onto the
     # (5 - k)-functions and classes onto classes; k = 3 is reached that way,
-    # since enumerating it directly takes seconds.
+    # since the spectral search takes seconds there.  Unlike count_table,
+    # this route needs no vertex search.
     parity = cs.TruthTable.character(5, 0b11111).bits
     counts = {}
     for k in (0, 1, 2):
@@ -294,3 +297,56 @@ def test_orbit_classes_give_g_at_n5():
         counts[5 - k] = len(cs.orbit_classes(complements))
         assert all(cs.uniform_flip_count(g) == 5 - k for g in complements)
     assert [counts[k] for k in range(6)] == [1, 1, 2, 2, 1, 1]
+
+
+@lru_cache(maxsize=None)
+def signed_cycle_classes(n: int) -> list[tuple[tuple[int, tuple[int, ...]], int]]:
+    """Per signed cycle type of (sigma, alpha): a representative (alpha,
+    sigma) and the class size, found by typing all 2**n n! pairs.
+
+    A cycle of sigma is signed by the parity of alpha's bits on it.
+    """
+    classes: dict[tuple, list] = {}
+    for sigma in permutations(range(n)):
+        for alpha in range(1 << n):
+            cycles, seen = [], set()
+            for start in range(n):
+                j, length, sign = start, 0, 0
+                while j not in seen:
+                    seen.add(j)
+                    length, sign, j = length + 1, sign ^ (alpha >> j) & 1, sigma[j]
+                if length:
+                    cycles.append((length, sign))
+            classes.setdefault(tuple(sorted(cycles)), [(alpha, sigma), 0])[1] += 1
+    return [(rep, size) for rep, size in classes.values()]
+
+
+def burnside_count(n: int, cell: list[int]) -> int:
+    """The number of orbits of a group-closed set of tables: the mean over
+    the group of the number of tables each element fixes."""
+    vals = _unpack(np.array(cell, dtype=np.uint64), n)
+    total = 0
+    for (alpha, sigma), size in signed_cycle_classes(n):
+        phi = cs.SignedAutomorphism(n, 1, alpha, sigma).vertex_map(np.arange(1 << n))
+        image = vals[:, phi]
+        # epsilon = +1 fixes f when f o phi = f, epsilon = -1 when f o phi = -f.
+        fixed = (image == vals).all(axis=1).sum() + (image != vals).all(axis=1).sum()
+        total += size * int(fixed)
+    classes, rest = divmod(total, cs.group_order(n))
+    assert rest == 0
+    return classes
+
+
+def test_count_table_g_matches_burnside_and_canonical_forms():
+    # Three routes to G: the orbit sweep of count_table, Burnside's lemma
+    # over the signed cycle types (65 of them at n = 6, twice over for
+    # epsilon), and for n <= 5 the canonical-form buckets of orbit_classes.
+    assert [len(signed_cycle_classes(n)) for n in range(7)] == [1, 2, 5, 10, 20, 36, 65]
+    records = cs.count_table(6)
+    for r in records:
+        cell = kfunctions._vertex_search(r.n, r.k)
+        assert r.G == burnside_count(r.n, cell)
+        if r.n <= 5:
+            tables = [cs.TruthTable(r.n, bits) for bits in cell]
+            assert r.G == len(cs.orbit_classes(tables))
+    assert [r.G for r in records[-7:]] == [1, 1, 2, 9, 2, 1, 1]
