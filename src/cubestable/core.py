@@ -210,11 +210,16 @@ class Spectrum:
 
 
 def _normalize_term(num: int, log2_den: int) -> tuple[int, int]:
-    """Reduce num / 2**log2_den to lowest terms (num odd or log2_den 0)."""
-    while num and log2_den > 0 and num % 2 == 0:
-        num //= 2
-        log2_den -= 1
-    return num, log2_den
+    """Reduce num / 2**log2_den to lowest terms (num odd or log2_den 0).
+
+    One shift strips min(trailing zeros of num, log2_den) factors of two;
+    num & -num is num's lowest set bit, for negative num too.  A zero
+    numerator keeps its log2_den.
+    """
+    if not num:
+        return num, log2_den
+    s = min((num & -num).bit_length() - 1, log2_den)
+    return num >> s, log2_den - s
 
 
 class _IntegerForm(NamedTuple):
@@ -249,16 +254,19 @@ class SparsePolynomial:
     def __init__(self, terms: Mapping[int, tuple[int, int]]):
         clean: dict[int, tuple[int, int]] = {}
         for mask, (num, log2_den) in terms.items():
-            for what, x in (("mask", mask), ("num", num), ("log2_den", log2_den)):
-                _check_integer_type(type(x), what)
-            mask = int(mask)
+            # Terms from this class's own arithmetic are plain ints already.
+            if not type(mask) is type(num) is type(log2_den) is int:
+                for what, x in (("mask", mask), ("num", num), ("log2_den", log2_den)):
+                    _check_integer_type(type(x), what)
+                mask, num, log2_den = int(mask), int(num), int(log2_den)
             if mask < 0 or mask.bit_length() > MAX_VAR_INDEX:
                 raise IndexOverflow(
                     f"term mask uses a variable index beyond {MAX_VAR_INDEX}"
                 )
             if log2_den < 0:
                 raise ValueError("log2_den must be >= 0")
-            num, log2_den = _normalize_term(int(num), int(log2_den))
+            if not num & 1:  # an odd numerator is in lowest terms already
+                num, log2_den = _normalize_term(num, log2_den)
             if num:
                 clean[mask] = (num, log2_den)
         self.terms = clean
@@ -419,12 +427,15 @@ _BUTTERFLY_BLOCK = 1 << 17
 
 def _butterfly(a: np.ndarray) -> None:
     """In-place Walsh-Hadamard butterfly over the last axis of a C-contiguous
-    int64 array.
+    signed integer array.
 
-    The last axis has length 2**n; any leading axes are a batch.  Applied
-    twice it multiplies by 2**n, so inputs bounded by 2**n in absolute
-    value stay below 2**(2n) <= 2**52, safely inside int64 (as does the
-    2 * y of an update).
+    The last axis has length 2**n; any leading axes are a batch.  Each
+    stage at most doubles the largest absolute value, the 2 * y of an
+    update included, so inputs bounded by B stay within B * 2**n and any
+    signed integer dtype that holds B * 2**n works.  For +/-1 inputs on
+    Q_n that is 2**n: int8 serves up to n = 6, and int64 every n <= 26.
+    A +/-1 function's spectrum (B = 2**n, as in :func:`inverse_wht`)
+    stays within 2**(2n) <= 2**52, inside int64.
 
     The stages come in two groups, so that numpy's inner loops run long in
     both.  Let s be half the bit length of ``a.size`` (ceil(log2(a.size) / 2)

@@ -1,9 +1,10 @@
 """Exact counting of integer vectors with a prescribed sum of squares.
 
 S(q, t) = #{x in Z^t : x_1**2 + ... + x_t**2 = q} (the number-theoretic
-r_t(q)).  Two independent implementations — a column recurrence and a raw
-scan — plus the bound checks that sandwich S(q, t) and the resulting upper
-bound on the k-function count F(n, k).
+r_t(q)).  Two independent implementations — a sweep over t with each
+column S(0..q, t) packed into one integer, and a raw scan — plus the
+bound checks that sandwich S(q, t) and the resulting upper bound on the
+k-function count F(n, k).
 """
 
 from __future__ import annotations
@@ -33,40 +34,56 @@ def _check_args(q: int, t: int) -> None:
         raise ValueError(f"q and t must be >= 0, got ({q}, {t})")
 
 
-def _columns(q: int, t: int, memo_limit: int) -> Iterator[list[int]]:
-    """The columns ``row[r] = S(r, t')`` for r <= q, for t' = 0, 1, ..., t.
+def _columns(q: int, t: int, memo_limit: int) -> Iterator[int]:
+    """S(q, t') for t' = 0, 1, ..., t.
 
-    Column t' + 1 sums S(r - x**2, t') over |x| <= sqrt(r).  Work and
-    table size are bounded by q*t; past ``memo_limit`` the first step
-    raises :class:`BudgetExceeded` before any column is built.
+    Each column ``S(r, t')`` for r <= q is one packed integer, slot r at
+    bits ``r*w`` and up (Kronecker substitution).  Column t' + 1 sums
+    S(r - x**2, t') over |x| <= sqrt(r): the x = 0 term is the column
+    itself, and the pair +/-x is the column shifted up by x**2 slots and
+    doubled.  Slots past q are masked off.  The budget is on q*t: past
+    ``memo_limit`` the first step raises :class:`BudgetExceeded` before
+    anything else is computed.
     """
     if q * t > memo_limit:
         # No q*t in the message: past 4,300 digits str() of it raises.
         raise BudgetExceeded(f"q*t exceeds memo limit {memo_limit}")
-    row = [1] + [0] * q
-    yield row
+    m = isqrt(q)
+    # No slot r <= q carries into the next.  Every x counted in S(r, t')
+    # with t' <= t lies in [-m, m]**t', and as |x_i| <= x_i**2 it has
+    # sum |x_i| <= q: at most C(t, j) supports of size j, 2**j signs and
+    # C(q, j) positive parts summing to at most q, and by Vandermonde
+    # sum_j C(t, j) C(q, j) = C(q + t, q).  So
+    #     S(r, t') <= min((2m + 1)**t, 2**min(q, t) * C(q + t, q)),
+    # the first bound the smaller for large q, the second for large t, and
+    # both are below 2**w: the first is at most 2**(t * bit_length(2m + 1))
+    # and the second is below 2**(its bit length).  Each sum below adds
+    # only non-negative terms of one S(r, t' + 1), so no partial sum in
+    # such a slot exceeds that bound either.  Slots past q may overflow,
+    # but carries only move up and the mask drops them.
+    w = 1 + min(
+        t * (2 * m + 1).bit_length(), (comb(q + t, q) << min(q, t)).bit_length()
+    )
+    top = q * w
+    keep = (1 << (top + w)) - 1
+    row = 1  # S(0, 0) = 1, every other S(r, 0) = 0
+    yield row >> top
     for _ in range(t):
-        new = []
-        for r in range(q + 1):
-            total = row[r]  # x = 0
-            for x in range(1, isqrt(r) + 1):
-                total += 2 * row[r - x * x]
-            new.append(total)
-        row = new
-        yield row
+        row = (row + sum(row << (x * x * w + 1) for x in range(1, m + 1))) & keep
+        yield row >> top
 
 
 def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosResult:
     """S(q, t) by the recurrence S(q, t) = sum over |x| <= sqrt(q) of
-    S(q - x**2, t - 1), grown column by column in t.
+    S(q - x**2, t - 1), grown column by column in t (:func:`_columns`).
 
-    Work and table size are bounded by q*t; past ``memo_limit`` the call is
-    refused with :class:`BudgetExceeded`.
+    Past ``memo_limit`` on q*t the call is refused with
+    :class:`BudgetExceeded`.
     """
     _check_args(q, t)
-    for row in _columns(q, t, memo_limit):
+    for count in _columns(q, t, memo_limit):
         pass
-    return SosResult(q, t, row[q])
+    return SosResult(q, t, count)
 
 
 def sos_bruteforce(
@@ -114,14 +131,21 @@ class BoundsReport:
     ok: bool
 
 
+def _surd_power(q: int) -> tuple[int, int]:
+    """(a, b) with (2*sqrt(q) + 1)**q = a + b*sqrt(q), by the binomial
+    expansion: even powers of 2*sqrt(q) go to a, odd ones to b."""
+    a = sum(comb(q, j) * (1 << j) * q ** (j // 2) for j in range(0, q + 1, 2))
+    b = sum(comb(q, j) * (1 << j) * q ** (j // 2) for j in range(1, q + 1, 2))
+    return a, b
+
+
 def _floor_surd_power(q: int, c: int) -> int:
     """floor(c * (2*sqrt(q) + 1)**q), exactly.
 
-    Expands the power as a + b*sqrt(q) with integer a, b, then uses
+    With the power as a + b*sqrt(q) (:func:`_surd_power`), uses
     floor(x + y*sqrt(q)) = x + isqrt(y*y*q) for x, y >= 0.
     """
-    a = sum(comb(q, j) * (1 << j) * q ** (j // 2) for j in range(0, q + 1, 2))
-    b = sum(comb(q, j) * (1 << j) * q ** (j // 2) for j in range(1, q + 1, 2))
+    a, b = _surd_power(q)
     return c * a + isqrt(c * b * c * b * q)
 
 
@@ -131,21 +155,23 @@ def _bounds_reports(
     """The reports at the distinct t in ``ts`` (all t >= q), by ascending
     t, from one pass of the recurrence up to the largest t.
 
-    S(q, q) is read at column q on the way; binomials and surd floors are
-    computed only at the requested columns.  Past ``memo_limit`` the first
-    step raises :class:`BudgetExceeded` before any column is built.
+    S(q, q) is read at column q on the way, and (2*sqrt(q) + 1)**q is
+    expanded there once; binomials and surd floors are computed only at
+    the requested columns.  Past ``memo_limit`` the first step raises
+    :class:`BudgetExceeded` before any column is built.
     """
     wanted = set(ts)
-    for t, row in enumerate(_columns(q, max(wanted, default=0), memo_limit)):
+    for t, count in enumerate(_columns(q, max(wanted, default=0), memo_limit)):
         if t == q:
-            diagonal = row[q]
+            diagonal = count
+            a, b = _surd_power(q)
+            bbq = b * b * q
         if t not in wanted:
             continue
-        count = row[q]
         c = comb(t, q)
         lower = c * (1 << q)
         upper_subset = c * diagonal
-        upper_value = _floor_surd_power(q, c)
+        upper_value = c * a + isqrt(c * c * bbq)
         ok = lower <= count <= upper_subset and count <= upper_value
         yield BoundsReport(q, t, count, lower, upper_subset, upper_value, ok)
 

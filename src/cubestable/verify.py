@@ -93,21 +93,28 @@ class _Context:
 def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
     total = 1 << 16
     piece = 1 << 12
-    # Bit S of levels[k] is set iff the mask S lies on level k.
-    levels = [sum(1 << S for S in range(16) if S.bit_count() == k) for k in range(5)]
+    # Bit S of outside[k] is set iff the mask S lies off level k.
+    outside = [
+        np.uint16(sum(1 << S for S in range(16) if S.bit_count() != k))
+        for k in range(5)
+    ]
 
     def scan(lo: int) -> int:
         tables = np.arange(lo, lo + piece, dtype=np.uint64)
-        # Spectral route: one butterfly over the whole piece, each table's
-        # support as a 16-bit mask, and the level k that holds it, or -1.
-        spectra = _unpack(tables, 4).astype(np.int64)
+        # Spectral route: one butterfly over the whole piece in int8, which
+        # holds every value of a +/-1 butterfly on Q_4 (at most 2**4), so
+        # each array is 64 KiB and reuses freed heap instead of faulting in
+        # fresh pages.  Each table's support becomes a 16-bit mask, and the
+        # level k that holds it gives the route's answer, or -1.
+        spectra = _unpack(tables, 4).view(np.int8)
         spectra *= -2
         spectra += 1
         _butterfly(spectra)
-        support = (spectra != 0) @ (1 << np.arange(16))
+        # Packing the flattened rows of 16 gives two bytes per table.
+        support = np.packbits(spectra != 0, bitorder="little").view("<u2")
         spectral = np.full(piece, -1)
         for k in range(5):
-            spectral[(support & ~levels[k]) == 0] = k
+            spectral[(support & outside[k]) == 0] = k
         # Definitional route: each table's uniform flip count, or -1.
         return int((_uniform_flips(tables, 4) != spectral).sum())
 
@@ -196,7 +203,8 @@ def _c7_max_relevant(ctx: _Context) -> tuple[bool, str]:
             return False, f"k={k}: {rel} relevant indices, wanted {want}"
         if len(p.terms) != 4 ** (k - 1) or p.parseval_sum() != 1:
             return False, f"k={k}: support {len(p.terms)}, parseval {p.parseval_sum()}"
-    p5 = max_relevant_construct(5)
+    # The loop's last polynomial is k = 5's, already validated above.
+    p5 = p
     rng = random.Random(ctx.seed)
     samples = 10_000
     # Bit j of a point set means x_{j+1} = -1, so the points are uniform on

@@ -116,6 +116,25 @@ def test_butterfly_shape_grid_matches_the_defining_sum(monkeypatch, block):
         assert np.array_equal(a, want), shape
 
 
+def test_butterfly_int8_batch_of_every_q4_table():
+    # +/-1 inputs on Q_4 stay within 2**4, so int8 gives the int64 result.
+    from cubestable import core
+
+    tables = np.arange(1 << 16, dtype=np.uint64)
+    small = 1 - 2 * core._unpack(tables, 4).astype(np.int8)
+    wide = small.astype(np.int64)
+    core._butterfly(small)
+    core._butterfly(wide)
+    assert small.dtype == np.int8 and small.shape == (1 << 16, 16)
+    assert np.array_equal(small, wide)
+    assert int(np.abs(wide).max()) == 16
+    signs = 1 - 2 * core._unpack(tables, 4).astype(np.int64)
+    assert np.array_equal(wide, _defining_sums(signs))
+    # wht itself on every 16th table, one row each.
+    for bits, row in zip(tables[::16].tolist(), small[::16].tolist()):
+        assert cs.wht(cs.TruthTable(4, bits)).coeffs == tuple(row)
+
+
 def test_butterfly_temporaries_are_bounded():
     # 20 MiB beside a 32 MiB array: at n = 26 the 512 MiB spectrum is then
     # most of the memory a wht needs, so it fits a 2 GB budget.
@@ -426,6 +445,37 @@ def test_sparse_rejects_non_integer_fields(terms):
 def test_sparse_accepts_numpy_integer_fields():
     p = cs.SparsePolynomial({np.int64(3): (np.int32(2), np.uint8(1))})
     assert p == cs.SparsePolynomial({3: (1, 0)})
+
+
+def test_sparse_stores_plain_ints_from_numpy_fields():
+    p = cs.SparsePolynomial({np.uint64(5): (np.int64(-12), np.int16(3))})
+    assert p.terms == {5: (-3, 1)}
+    ((mask, (num, log2_den)),) = p.terms.items()
+    assert type(mask) is type(num) is type(log2_den) is int
+
+
+def _normalize_by_halving(num, log2_den):
+    """The reference: one factor of two at a time."""
+    while num and log2_den > 0 and num % 2 == 0:
+        num //= 2
+        log2_den -= 1
+    return num, log2_den
+
+
+def test_normalize_term_matches_halving():
+    from cubestable.core import _normalize_term
+
+    cases = [(0, 0), (0, 7), (1, 0), (1, 9), (-1, 0), (-1, 4), (-2, 1)]
+    cases += [(-12, 1), (-12, 5), (6, 0), (8, 2), (-8, 3), (-8, 9)]
+    odd = 0xDEADBEEF
+    for d in (0, 1, 199, 200, 201, 500):
+        cases += [(odd << 200, d), (-odd << 200, d), (1 << 200, d)]
+    rng = random.Random(29)
+    for _ in range(2000):
+        num = rng.randrange(-(1 << 70), 1 << 70) << rng.randrange(0, 80)
+        cases.append((num, rng.randrange(0, 100)))
+    for num, d in cases:
+        assert _normalize_term(num, d) == _normalize_by_halving(num, d), (num, d)
 
 
 def test_sparse_arithmetic_mod_squares():

@@ -4,7 +4,7 @@ import pytest
 
 import cubestable as cs
 from cubestable.errors import BudgetExceeded, PreconditionViolated
-from cubestable.sos import _bounds_reports, _floor_surd_power
+from cubestable.sos import BoundsReport, _bounds_reports, _floor_surd_power
 
 
 def test_small_closed_forms():
@@ -143,3 +143,52 @@ def test_isqrt_edge_in_surd_floor():
         got = _floor_surd_power(q, 1)
         root = isqrt(q)
         assert got == (2 * root + 1) ** q
+
+
+def _reference_columns(q, t):
+    """The list-of-rows recurrence: ``row[r] = S(r, t')`` for t' = 0..t."""
+    row = [1] + [0] * q
+    yield row
+    for _ in range(t):
+        row = [
+            row[r] + 2 * sum(row[r - x * x] for x in range(1, isqrt(r) + 1))
+            for r in range(q + 1)
+        ]
+        yield row
+
+
+def _reference_reports(q, t_max):
+    """Every report for t = q..t_max, from the reference columns and the
+    binomial expansion of (2*sqrt(q) + 1)**q redone at each t."""
+    for t, row in enumerate(_reference_columns(q, t_max)):
+        if t == q:
+            diagonal = row[q]
+        if t < q:
+            continue
+        c = comb(t, q)
+        a = sum(comb(q, j) * 2**j * q ** (j // 2) for j in range(0, q + 1, 2))
+        b = sum(comb(q, j) * 2**j * q ** (j // 2) for j in range(1, q + 1, 2))
+        count, lower, subset = row[q], c * 2**q, c * diagonal
+        value = c * a + isqrt(c * b * c * b * q)
+        ok = lower <= count <= subset and count <= value
+        yield BoundsReport(q, t, count, lower, subset, value, ok)
+
+
+def test_packed_sweep_matches_reference_recurrence():
+    for q in range(41):
+        want = [row[q] for row in _reference_columns(q, 40)]
+        assert [cs.sos_count(q, t).count for t in range(41)] == want, q
+        assert list(_bounds_reports(q, range(q, 41))) == list(
+            _reference_reports(q, 40)
+        ), q
+
+
+@pytest.mark.parametrize("q, t", [(0, 0), (16, 64), (1, 300), (0, 300), (300, 1)])
+def test_packed_sweep_matches_reference_at_the_edges(q, t):
+    # (16, 64) is c08's largest cell, where slots are fullest; (1, 300) has
+    # the widest slots the bound allows next to a single neighbour.
+    assert cs.sos_count(q, t).count == list(_reference_columns(q, t))[-1][q]
+    if t >= q:
+        assert list(_bounds_reports(q, range(q, t + 1))) == list(
+            _reference_reports(q, t)
+        )
