@@ -223,19 +223,28 @@ def _normalize_term(num: int, log2_den: int) -> tuple[int, int]:
 
 
 class _IntegerForm(NamedTuple):
-    """A polynomial's terms grouped by their numerator at the scale 2**top.
+    """A polynomial's terms as bits of a bitset, grouped by their numerator
+    at the scale 2**top.
 
-    The terms whose coefficient is ``values[g] / 2**top`` are the
-    ``sizes[g]`` masks from ``masks[starts[g]]`` on.  ``values`` holds
-    Python ints (an object array), so no numerator is ever narrowed.
+    Term t is bit t % 64 of word t // 64, and one spare zero word ends the
+    bitset.  Row i of ``uses`` is the bitset of the terms whose mask has bit
+    i, for i below the bit length of ``relevant`` (at least one row).  The
+    terms whose coefficient is ``values[g] / 2**top`` are a run of
+    ``sizes[g]`` bits, the runs in group order.  Cut g is the bit where run
+    g starts, and the last cut is the term count; ``cut_word`` and
+    ``cut_high`` give each cut's word and the bits of that word at and above
+    the cut.  ``values`` holds int64 when sum(|values[g]| * sizes[g]) <
+    2**63, else Python ints (an object array), so no numerator is ever
+    narrowed.
     """
 
     top: int
-    masks: np.ndarray
-    values: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
     relevant: int
+    uses: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
+    cut_word: np.ndarray
+    cut_high: np.ndarray
 
 
 class SparsePolynomial:
@@ -306,7 +315,8 @@ class SparsePolynomial:
         return out
 
     def _integer_form(self) -> _IntegerForm:
-        """The coefficients as integers at one scale, grouped by value; cached.
+        """The terms as integers at one scale, grouped by value, and as
+        bitsets; cached.
 
         ``top`` is the largest log2_den (0 for no terms) and each
         coefficient is exactly ``num_S / 2**top``, so sums over terms stay in
@@ -317,22 +327,31 @@ class SparsePolynomial:
             groups: dict[int, list[int]] = {}
             for m, (num, a) in self.terms.items():
                 groups.setdefault(num << (top - a), []).append(m)
-            sizes = np.array([len(ms) for ms in groups.values()], dtype=np.int64)
+            sizes = [len(ms) for ms in groups.values()]
+            fits = sum(abs(v) * s for v, s in zip(groups, sizes)) < 1 << 63
+            masks = np.array([m for ms in groups.values() for m in ms], dtype=np.uint64)
+            relevant = self.relevant_mask()
+            nbits = max(1, relevant.bit_length())
+            bits = np.zeros((nbits, 64 * (len(masks) // 64 + 1)), dtype=np.uint8)
+            # A mask's 64 bits unpack as a Q_6 table's do.
+            bits[:, : len(masks)] = _unpack(masks, 6)[:, :nbits].T
+            cuts = np.cumsum([0] + sizes, dtype=np.uint64)
             self._scaled = _IntegerForm(
                 top,
-                np.array([m for ms in groups.values() for m in ms], dtype=np.uint64),
-                np.array(list(groups), dtype=object),
-                np.cumsum(sizes) - sizes,
-                sizes,
-                self.relevant_mask(),
+                relevant,
+                np.packbits(bits, axis=1, bitorder="little").view("<u8"),
+                np.array(list(groups), dtype=np.int64 if fits else object),
+                np.array(sizes, dtype=np.int64),
+                cuts >> 6,
+                ~np.uint64(0) << (cuts & 63),
             )
         return self._scaled
 
     def parseval_sum(self) -> Fraction:
         """sum of squared coefficients, exactly."""
-        form = self._integer_form()
-        total = sum(v * v * s for v, s in zip(form.values, form.sizes.tolist()))
-        return Fraction(total, 1 << (2 * form.top))
+        top = max((a for _, a in self.terms.values()), default=0)
+        total = sum(num * num << 2 * (top - a) for num, a in self.terms.values())
+        return Fraction(total, 1 << (2 * top))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if not isinstance(other, SparsePolynomial):
@@ -540,31 +559,68 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
     return frozenset(i + 1 for i in range(union.bit_length()) if (union >> i) & 1)
 
 
-#: Entries (points x terms) in one piece of :func:`_sparse_numerators`, so
-#: each uint64 temporary stays near 0.5 MB.
-_SPARSE_PIECE = 1 << 16
+#: Most uint64 words that :func:`_sparse_numerators` holds in its parity
+#: tables, and in the table rows one piece of points gathers: 128 KiB each,
+#: and more only where 2-row tables or a single point need it.  Pieces of
+#: 2**15 words ran criterion 7's 10,000 points about 5% faster, but added
+#: about 0.5 MB to the peak RSS of ``verify`` (2-core Xeon, numpy 2.4).
+_SPARSE_PIECE = 1 << 14
 
 
 def _sparse_numerators(p: SparsePolynomial, neg: np.ndarray) -> list[int]:
     """``2**top * p`` at each point, exactly, as Python ints.
 
     ``neg`` is a uint64 array with one point per entry: bit j set means
-    x_{j+1} = -1.  Term S is negated at a point iff ``popcount(S & neg)`` is
-    odd.  Within a class of ``size`` terms sharing one scaled numerator v,
-    with ``odd`` of them negated, the class contributes v * (size - 2*odd).
-    The counts are at most the term count, so int64 holds them; the products
-    with v and the sum over classes are Python ints, so the result is exact
-    however large the numerators are.
+    x_{j+1} = -1.  Term t is negated at a point iff the point and t's mask
+    share an odd number of bits.  Each point gets the bitset of its negated
+    terms (laid out as in :class:`_IntegerForm`) from parity tables:
+
+    * The point's bits are cut into windows of w bits.  Window j's table has
+      one bitset per value v of the window: bit t is the parity of t's mask
+      and v there.  Tables are built by doubling: row v | 2**i is row v XOR
+      the row of ``uses`` for the window's bit i.
+    * A point's bitset is the XOR of one table row per window.
+    * The ``size`` terms sharing one scaled numerator v are a run of bits;
+      with ``odd`` of them set, they contribute v * (size - 2*odd).
+
+    w grows with the batch (2**w <= points, w <= 8), so a single point
+    builds 2-row tables only, and the tables and each piece of points stay
+    near ``_SPARSE_PIECE`` words.  Each point's sum over the runs, partial
+    sums included, is at most sum(|v| * size) in absolute value, so it runs
+    in int64 when that bound is below 2**63 and in Python ints otherwise:
+    the result is exact however large the numerators are.
     """
     form = p._integer_form()
-    if not len(form.values):
+    if not len(form.values) or not len(neg):
         return [0] * len(neg)
-    rows = max(1, _SPARSE_PIECE // len(form.masks))
+    nbits, words = form.uses.shape
+    w = min(8, max(1, len(neg).bit_length() - 1))
+    while w > 1 and (-(-nbits // w) << w) * words > _SPARSE_PIECE:
+        w -= 1
+    windows = -(-nbits // w)
+    uses = np.zeros((windows * w, words), dtype=np.uint64)
+    uses[:nbits] = form.uses
+    uses = uses.reshape(windows, w, words)
+    tables = np.zeros((windows, 1 << w, words), dtype=np.uint64)
+    for i in range(w):
+        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ uses[:, i, None]
+    tables = tables.reshape(-1, words)
+    shifts = np.arange(0, windows * w, w, dtype=np.uint64)[:, None]
+    first_row = np.arange(windows)[:, None] << w
+    piece = max(1, _SPARSE_PIECE // (windows * words))
     out: list[int] = []
-    for lo in range(0, len(neg), rows):
-        parity = np.bitwise_count(neg[lo : lo + rows, None] & form.masks) & 1
-        odd = np.add.reduceat(parity, form.starts, axis=1, dtype=np.int64)
-        out += ((form.sizes - 2 * odd).astype(object) @ form.values).tolist()
+    for lo in range(0, len(neg), piece):
+        # Window by window, so that the XOR runs over the outer axis.
+        at = (neg[lo : lo + piece] >> shifts) & np.uint64((1 << w) - 1)
+        rows = np.take(tables, at.astype(np.intp) + first_row, axis=0)
+        parity = np.bitwise_xor.reduce(rows, axis=0)
+        # Set bits before each cut: those of the words up to the cut's word,
+        # less those of its word at and above the cut.
+        upto = np.cumsum(np.bitwise_count(parity), axis=1, dtype=np.int64)
+        at_cut = parity[:, form.cut_word] & form.cut_high
+        before = upto[:, form.cut_word] - np.bitwise_count(at_cut)
+        counts = form.sizes - 2 * np.diff(before, axis=1)
+        out += (counts.astype(form.values.dtype) @ form.values).tolist()
     return out
 
 
@@ -572,16 +628,22 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
     """Evaluate p at a +/-1 point given as {variable index: value}.
 
     Every relevant variable must be assigned; extra assignments are ignored.
-    The point goes through :func:`_sparse_numerators` as a one-entry batch:
-    terms are grouped by their numerator at the common scale 2**top (top
-    being p's largest log2_den), each group's sign changes are counted with
-    popcounts, and the count-weighted sum is taken in Python ints, so it is
-    exact without any bound on the numerators.  The one Fraction is built
-    at the return.
+    Indices and values must be integers (numpy integers too, bool not), as
+    :class:`Spectrum` requires of its coefficients, and values +/-1; any
+    other raises ValueError, and an index outside 1..64 IndexOverflow.
+    The point goes through :func:`_sparse_numerators` as a one-entry batch,
+    which builds 2-row parity tables and sums the groups of equal scaled
+    numerators in int64 where their bound allows and in Python ints
+    otherwise, so the result is exact without any bound on the numerators.
+    The one Fraction is built at the return.
     """
     neg = 0
     given = 0
     for i, val in assignment.items():
+        if not type(i) is type(val) is int:
+            _check_integer_type(type(i), "variable index")
+            _check_integer_type(type(val), f"assignment for x_{i}")
+            i, val = int(i), int(val)
         if not 1 <= i <= MAX_VAR_INDEX:
             raise IndexOverflow(f"variable index {i} outside 1..{MAX_VAR_INDEX}")
         if val not in (1, -1):

@@ -309,15 +309,17 @@ def orbit_classes(tables: Sequence[TruthTable]) -> list[list[TruthTable]]:
     return [buckets[key] for key in sorted(buckets)]
 
 
-def _count_cell(n: int, k: int) -> CountRecord:
-    cell = np.array(_vertex_search(n, k), dtype=np.uint64)
-    reached = np.zeros(len(cell), dtype=bool)
+def _count_cell(n: int, k: int, cell: Sequence[int]) -> CountRecord:
+    """The record of cell (n, k) from all its k-functions, packed and
+    ascending, as :func:`_vertex_search` lists them."""
+    tables = np.array(cell, dtype=np.uint64)
+    reached = np.zeros(len(tables), dtype=bool)
     classes = 0
-    for i, bits in enumerate(cell.tolist()):
+    for i, bits in enumerate(cell):
         if not reached[i]:
-            reached[np.searchsorted(cell, _orbit(TruthTable(n, bits)))] = True
+            reached[np.searchsorted(tables, _orbit(TruthTable(n, bits)))] = True
             classes += 1
-    return CountRecord(n, k, len(cell), classes, "truth_table")
+    return CountRecord(n, k, len(tables), classes, "truth_table")
 
 
 def count_table(n_max: int) -> list[CountRecord]:
@@ -333,7 +335,11 @@ def count_table(n_max: int) -> list[CountRecord]:
         raise DimensionTooLarge(
             f"count_table supports n_max <= {MAX_COUNT_N}, got {n_max}"
         )
-    return [_count_cell(n, k) for n in range(n_max + 1) for k in range(n + 1)]
+    return [
+        _count_cell(n, k, _vertex_search(n, k))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+    ]
 
 
 def count_table_csv(records: Sequence[CountRecord]) -> str:

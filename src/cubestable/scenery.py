@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -176,27 +176,58 @@ def _check_scenery_size(n: int, L: int) -> None:
 
 
 def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
-    """The word distribution under the walk model, by dynamic programming.
-
-    The DP holds one int64 row per surviving word prefix: entry v counts
-    the walks that read the prefix and are now at v.  A step adds the n
-    neighbour gathers of every row and splits the result by the letter
-    read at v; rows that are all zero are dropped.  After L steps row w
-    sums to 2**n * n**L * P(w): the row sums are the law's weights as they
-    are, over that norm.
+    """The word distribution under the walk model, by dynamic programming:
+    :func:`_exact_sceneries` on a batch of one table.
     Raises as :func:`_check_scenery_size` does, before any work.
     """
-    _check_scenery_size(f.n, L)
-    n = f.n
+    return _exact_sceneries([f], L)[0]
+
+
+def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistribution]:
+    """:func:`exact_scenery` of every table of a batch, by one DP.
+
+    Table b's vertex v is column b * 2**n + v of the state, which holds one
+    row per surviving word prefix: entry (w, b * 2**n + v) counts the
+    walks on table b that read the prefix w and are now at v.  A step adds
+    the n neighbour gathers of every row and splits the result by the
+    letter read at v; a row is dropped once it is zero in every table.
+    After L steps table b's part of row w sums to 2**n * n**L * P(w): the
+    nonzero sums are the law's weights as they are, over that norm.
+
+    All tables must share n (else :class:`ShapeMismatch`).  Beside the
+    guards of :func:`_check_scenery_size`, the batch must hold at most
+    MAX_DP_CELLS vertex-word cells in all, B * 2**n * 2**(L+1)
+    (:class:`BudgetExceeded`); both are checked before any work.  An empty
+    batch gives an empty list.
+    """
+    if not fs:
+        return []
+    n = fs[0].n
+    if any(f.n != n for f in fs):
+        raise ShapeMismatch(f"a batch mixes dimensions {sorted({f.n for f in fs})}")
+    _check_scenery_size(n, L)
+    if (len(fs) << n) << (L + 1) > MAX_DP_CELLS:
+        raise BudgetExceeded(
+            f"{len(fs)} tables x 2**{n} vertices x 2**{L + 1} words exceeds "
+            f"the {MAX_DP_CELLS}-cell ceiling"
+        )
     size = 1 << n
     # An entry after t steps counts t-step walks into v, so it is at most
-    # n**t, and a row sums to at most 2**n * n**L.  Under the two ceilings
-    # (2**n * 2**(L+1) <= 2**20, L <= 12) that is at most 2**41 (n = 8,
-    # L = 11), so int64 cannot overflow.
-    minus = _unpack(f.bits, n).astype(np.int64)
-    # letters[0] is 1 where f reads +1, letters[1] where it reads -1.
+    # n**t, reached when every walk into v reads one word (a constant
+    # table): the state takes the narrowest unsigned dtype that holds n**L
+    # itself (uint16 for criterion 10's n = 4, L = 6).  A table's part of a row sums
+    # to at most 2**n * n**L, which under the two ceilings (2**n * 2**(L+1)
+    # <= 2**20, L <= 12) is at most 2**41 (n = 8, L = 11): the sums are
+    # taken in int64.
+    # Each table unpacks on its own: a uint64 array of tables stops at n = 6.
+    minus = np.concatenate([_unpack(f.bits, n) for f in fs])
+    minus = minus.astype(np.min_scalar_type(n**L))
+    # letters[0] is 1 where a table reads +1, letters[1] where it reads -1.
     letters = np.stack([1 - minus, minus])
-    flips = np.arange(size) ^ (1 << np.arange(n))[:, None]
+    # flips[j] maps each column to its neighbour across coordinate j, in
+    # the same table.
+    columns = np.arange(len(fs) * size)
+    flips = columns ^ (1 << np.arange(n))[:, None]
     # step 0: weight 1 on every vertex, split by the letter read there.
     state = letters
     # codes[r] spells row r's word in binary, first letter highest and a
@@ -208,14 +239,21 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
             for flip in flips[1:]:
                 spread += state[:, flip]
             # The rows of word + (1,) and word + (-1,) sit side by side.
-            state = (spread[:, None, :] * letters).reshape(-1, size)
+            state = (spread[:, None, :] * letters).reshape(-1, len(columns))
             codes = (2 * codes[:, None] + np.arange(2)).ravel()
         live = state.any(axis=1)
-        state = state[live]
-        codes = codes[live]
-    dist = SceneryDistribution.__new__(SceneryDistribution)
-    dist._set(n, L, codes, state.sum(axis=1), size * n**L)
-    return dist
+        # A k-function with 0 < k < n reads every word, so often no row dies.
+        if not live.all():
+            state = state[live]
+            codes = codes[live]
+    sums = state.reshape(len(codes), len(fs), size).sum(axis=2, dtype=np.int64)
+    laws = []
+    for weights in sums.T:
+        live = weights > 0
+        dist = SceneryDistribution.__new__(SceneryDistribution)
+        dist._set(n, L, codes[live], weights[live], size * n**L)
+        laws.append(dist)
+    return laws
 
 
 def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:

@@ -31,13 +31,18 @@ from .core import TruthTable, _butterfly, _sparse_numerators, _unpack
 from .group import group_order
 from .kfunctions import (
     CountRecord,
+    _count_cell,
     _uniform_flips,
-    count_table,
     count_table_csv,
     enumerate_truth_tables,
     uniform_flip_count,
 )
-from .scenery import distributions_equal, exact_scenery, markov_scenery
+from .scenery import (
+    _exact_sceneries,
+    distributions_equal,
+    exact_scenery,
+    markov_scenery,
+)
 from .serialize import dumps
 from .sos import _bounds_reports, f_upper_bound, sos_bruteforce, sos_count
 
@@ -67,7 +72,12 @@ def render_line(r: CriterionResult) -> str:
 
 
 class _Context:
-    """Shared enumeration caches so criteria do not redo each other's work.
+    """One pass's shared results, so criteria do not redo each other's work.
+
+    ``kfn`` lists each cell's k-functions once per pass, and ``table``
+    builds the count records for n <= 4 from those lists, so a pass runs
+    each of the 15 vertex searches once.  A new context starts empty: the
+    second pass recomputes everything.
 
     ``threads`` is the worker budget of criterion 1's sweep over all tables
     of Q_4, the one parallel step of a pass.
@@ -85,8 +95,13 @@ class _Context:
         return self._kfn[(n, k)]
 
     def table(self) -> list[CountRecord]:
+        """``count_table(4)``, from this pass's cells."""
         if self._table is None:
-            self._table = count_table(4)
+            self._table = [
+                _count_cell(n, k, [f.bits for f in self.kfn(n, k)])
+                for n in range(5)
+                for k in range(n + 1)
+            ]
         return self._table
 
 
@@ -194,6 +209,20 @@ def _c6_uncoverable(ctx: _Context) -> tuple[bool, str]:
     return True, "64 terms, all +/-1/8, 16 indices in 16 masks each, no 2-cover"
 
 
+def _draw_46_bits(seed: int, count: int) -> np.ndarray:
+    """``[random.Random(seed).getrandbits(46) for _ in range(count)]`` as a
+    uint64 array, from one call to the same generator.
+
+    CPython's ``getrandbits(46)`` takes two 32-bit outputs: the first is the
+    low word, and the second, shifted right by 18, the high 14 bits.  One
+    ``getrandbits(64 * count)`` takes the same 2 * count outputs in order,
+    each a whole 32-bit word, least significant first.
+    """
+    bits = random.Random(seed).getrandbits(64 * count)
+    words = np.frombuffer(bits.to_bytes(8 * count, "little"), "<u4").astype(np.uint64)
+    return words[0::2] | (words[1::2] >> 18 << 32)
+
+
 def _c7_max_relevant(ctx: _Context) -> tuple[bool, str]:
     targets = {1: 1, 2: 4, 3: 10, 4: 22, 5: 46}
     for k, want in targets.items():
@@ -205,15 +234,13 @@ def _c7_max_relevant(ctx: _Context) -> tuple[bool, str]:
             return False, f"k={k}: support {len(p.terms)}, parseval {p.parseval_sum()}"
     # The loop's last polynomial is k = 5's, already validated above.
     p5 = p
-    rng = random.Random(ctx.seed)
     samples = 10_000
     # Bit j of a point set means x_{j+1} = -1, so the points are uniform on
     # {+/-1}**46; p5's 46 relevant indices must all lie in 1..46.
-    points = np.array([rng.getrandbits(46) for _ in range(samples)], dtype=np.uint64)
+    points = _draw_46_bits(ctx.seed, samples)
     one = 1 << p5._integer_form().top
-    if p5.relevant_mask() >> 46 or any(
-        abs(v) != one for v in _sparse_numerators(p5, points)
-    ):
+    boolean = {one, -one}
+    if p5.relevant_mask() >> 46 or not set(_sparse_numerators(p5, points)) <= boolean:
         return False, f"non-Boolean value at sampled point (seed {ctx.seed})"
     return True, (
         "relevant counts (1,4,10,22,46); supports 4**(k-1); "
@@ -255,7 +282,8 @@ def _c9_upper_bound(ctx: _Context) -> tuple[bool, str]:
 def _c10_scenery(ctx: _Context) -> tuple[bool, str]:
     twos = ctx.kfn(4, 2)
     ref = markov_scenery(4, 2, 6)
-    same = sum(1 for f in twos if distributions_equal(exact_scenery(f, 6), ref))
+    # One DP over all 36 tables: 36 * 2**4 * 2**7 = 73,728 cells.
+    same = sum(1 for law in _exact_sceneries(twos, 6) if distributions_equal(law, ref))
     if same != len(twos):
         return False, f"only {same}/{len(twos)} sceneries match the closed form"
     one = exact_scenery(ctx.kfn(4, 1)[0], 2)

@@ -8,8 +8,11 @@ compares the two passes byte for byte.
 
 import hashlib
 import json
+import random
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cubestable import cli, kfunctions, verify
@@ -108,6 +111,36 @@ def test_criterion_07_fails_on_a_non_boolean_chain(monkeypatch):
     result = run_criterion(7, _Context(SEED, threads=1))
     assert not result.ok
     assert f"seed {SEED}" in result.detail
+
+
+@pytest.mark.parametrize("seed", [0, 42, -5, 2**70])
+def test_criterion_07_points_are_the_getrandbits_stream(seed):
+    rng = random.Random(seed)
+    want = [rng.getrandbits(46) for _ in range(10_000)]
+    got = verify._draw_46_bits(seed, 10_000)
+    assert got.dtype == np.uint64
+    assert got.tolist() == want
+
+
+def test_one_pass_runs_each_vertex_search_once(monkeypatch):
+    calls = Counter()
+    search = kfunctions._vertex_search
+
+    def counted(n, k):
+        calls[n, k] += 1
+        return search(n, k)
+
+    monkeypatch.setattr(kfunctions, "_vertex_search", counted)
+    cells = [(n, k) for n in range(5) for k in range(n + 1)]
+    ctx = _Context(SEED, threads=1)
+    for number, _, _ in verify._CRITERIA:
+        assert run_criterion(number, ctx).ok
+    assert calls == Counter(cells)
+    # Nothing is kept between passes: the next one searches again.
+    assert all(r.ok for r in verify.run_criteria(SEED, threads=8))
+    assert calls == Counter(cells * 2)
+    monkeypatch.undo()
+    assert ctx.table() == kfunctions.count_table(4)
 
 
 def test_criterion_08_sum_of_squares_oracles_and_bounds(ctx):

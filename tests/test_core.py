@@ -310,8 +310,13 @@ def test_evaluate_sparse():
     assert cs.evaluate_sparse(two, {1: 1, 2: 1, 3: -1, 4: 1}) == -1
     with pytest.raises(MissingVariable):
         cs.evaluate_sparse(two, {1: 1, 2: 1, 3: 1})
-    with pytest.raises(ValueError):
-        cs.evaluate_sparse(p, {1: 0})
+    # Integer indices and values only, as Spectrum takes its coefficients.
+    for bad in ({1: 0}, {1: True}, {1: 1.0}, {1: -1.0}, {1.0: -1}, {True: 1},
+                {1: np.bool_(True)}, {1: Fraction(-1)}, {"1": 1}):
+        with pytest.raises(ValueError):
+            cs.evaluate_sparse(p, bad)
+    assert cs.evaluate_sparse(p, {np.int64(1): np.int8(-1)}) == -1
+    assert cs.evaluate_sparse(p, {1: np.int32(1), 64: -1}) == 1
 
 
 def test_evaluate_sparse_agrees_with_truth_table():
@@ -383,7 +388,7 @@ def test_sparse_numerators_exact():
         (cs.SparsePolynomial({m: (2 * m + 1, m % 5) for m in range(1, 40)}), 64, 50),
         # One class of 300 terms: its odd counts do not fit a uint8.
         (cs.SparsePolynomial({m: (1, 0) for m in range(300)}), 9, 50),
-        # 256 terms, so 256 points per piece: 300 points span two pieces.
+        # 256 terms in two numerator classes, over 46 variables.
         (cs.max_relevant_construct(5), 46, 300),
     ]
     for p, bits, count in polys:
@@ -396,6 +401,70 @@ def test_sparse_numerators_exact():
             for neg in negs
         ]
         assert [Fraction(v, 1 << top) for v in got] == want
+
+
+def popcount_numerators(p: cs.SparsePolynomial, neg: np.ndarray) -> list[int]:
+    """The popcount route that the parity tables replaced, kept as the
+    reference: terms grouped by their numerator at the scale 2**top, one
+    popcount per (point, term), and the sum over groups in Python ints."""
+    top = max((a for _, a in p.terms.values()), default=0)
+    groups: dict[int, list[int]] = {}
+    for m, (num, a) in p.terms.items():
+        groups.setdefault(num << (top - a), []).append(m)
+    if not groups:
+        return [0] * len(neg)
+    masks = np.array([m for ms in groups.values() for m in ms], dtype=np.uint64)
+    sizes = np.array([len(ms) for ms in groups.values()])
+    parity = np.bitwise_count(neg[:, None] & masks) & 1
+    odd = np.add.reduceat(parity, np.cumsum(sizes) - sizes, axis=1, dtype=np.int64)
+    values = np.array(list(groups), dtype=object)
+    return ((sizes - 2 * odd).astype(object) @ values).tolist()
+
+
+def test_sparse_numerators_match_popcount_route():
+    rng = random.Random(20261019)
+    polys = [
+        cs.SparsePolynomial.zero(),
+        # Numerators above 2**63, in classes of one and of two terms.
+        cs.SparsePolynomial(
+            {1: (2**70 + 1, 0), 1 << 63: (-(2**64) - 1, 0), 3: (5, 0), 5: (5, 0)}
+        ),
+        # sum(|v| * size) = 2**63 - 1, the largest bound of the int64 sum...
+        cs.SparsePolynomial({0b1: (2**62, 0), 0b10: (2**62 - 1, 0)}),
+        cs.SparsePolynomial({1 << 63: (2**63 - 1, 0)}),
+        # ... and 2**63, which the all-+1 point reaches.
+        cs.SparsePolynomial({0b1: (2**62, 0), 0b10: (2**62, 0)}),
+        cs.SparsePolynomial({1 << 63: (-(2**63), 0)}),
+        cs.max_relevant_construct(5),
+    ]
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randrange(1, 200)):
+            # Half the masks use bit 63, the uint64 sign bit.
+            mask = rng.getrandbits(63) | rng.getrandbits(1) << 63
+            terms[mask] = (rng.choice((-1, 1)) * rng.randrange(1, 4), rng.randrange(3))
+        polys.append(cs.SparsePolynomial(terms))
+    for count in (0, 1, 2, 255, 256, 257, 10_000):
+        # Points 0 (all +1) and 2**64 - 1 (all -1) come first.
+        points = [0, 2**64 - 1] + [rng.getrandbits(64) for _ in range(count)]
+        neg = np.array(points[:count], dtype=np.uint64)
+        for p in polys:
+            got = _sparse_numerators(p, neg)
+            assert all(type(v) is int for v in got)
+            assert got == popcount_numerators(p, neg), (count, p)
+    # Past about 511 terms over 64 bits the tables would exceed
+    # _SPARSE_PIECE words: 1,500 terms narrow the windows to 5 bits with
+    # pieces of 52 points, and 17,000 terms to 1 bit, where one point's
+    # rows alone exceed the bound and a piece is still one point.
+    neg = np.array([0, 2**64 - 1] + [rng.getrandbits(64) for _ in range(298)],
+                   dtype=np.uint64)
+    for count in (1_500, 17_000):
+        terms = {}
+        while len(terms) < count:
+            mask = rng.getrandbits(63) | rng.getrandbits(1) << 63
+            terms[mask] = (rng.choice((-1, 1)) * rng.randrange(1, 4), rng.randrange(3))
+        p = cs.SparsePolynomial(terms)
+        assert _sparse_numerators(p, neg) == popcount_numerators(p, neg), count
 
 
 def test_sparse_integer_cache_is_invisible():

@@ -1,18 +1,20 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
+import numpy as np
 import pytest
 
 import cubestable as cs
+from cubestable import scenery
 from cubestable.errors import (
     BudgetExceeded,
     KOutOfRange,
     ShapeMismatch,
     ZeroDimension,
 )
-from cubestable.scenery import SceneryDistribution
+from cubestable.scenery import SceneryDistribution, _exact_sceneries
 
 
 def walk_scenery(f, L):
@@ -205,6 +207,76 @@ def test_exact_scenery_cell_ceiling(monkeypatch):
     monkeypatch.setattr(cs.TruthTable, "values", refuse)
     with pytest.raises(BudgetExceeded):
         cs.exact_scenery(cs.TruthTable.constant(20, 1), 0)
+
+
+def test_batched_dp_gives_each_table_its_own_law(kfn):
+    rng = random.Random(13)
+    for n, twos in ((4, kfn(4, 2)), (5, list(islice(cs.enumerate_spectral(5, 2), 4)))):
+        batch = [cs.TruthTable.constant(n, 1), cs.TruthTable.constant(n, -1)]
+        batch += [cs.TruthTable.dictator(n, i) for i in (1, n)] + twos[:4]
+        batch += [cs.TruthTable(n, rng.getrandbits(1 << n)) for _ in range(4)]
+        for L in (3, 6):
+            laws = _exact_sceneries(batch, L)
+            assert len(laws) == len(batch)
+            for f, law in zip(batch, laws):
+                one = cs.exact_scenery(f, L)
+                assert (law.n, law.L, law.norm, law.weights) == (
+                    one.n, one.L, one.norm, one.weights
+                )
+                assert np.array_equal(law.codes, one.codes)
+                if L == 3:
+                    assert law.probs == walk_scenery(f, L)
+            # The all-+1 word (code 0) is live in the +1 constant and zero
+            # in the -1 constant, and the +1 constant reads no other word.
+            assert laws[0].codes.tolist() == [0]
+            assert 0 not in laws[1].codes and len(laws[2].codes) > 1
+    assert _exact_sceneries([], 4) == []
+
+
+@pytest.mark.parametrize("n, L", [(2, 7), (2, 8), (4, 4), (4, 8), (8, 5)])
+def test_dp_state_holds_n_to_the_L(n, L):
+    # Every walk into a vertex of a constant table or of the full parity
+    # reads one word, so a state entry reaches n**L: here 128, 256, 32768
+    # or 65536, where one narrower dtype would wrap.
+    plus, minus = (1,) * (L + 1), (-1,) * (L + 1)
+    alternating = tuple((-1) ** i for i in range(L + 1))
+    flipped = tuple(-a for a in alternating)
+    half = Fraction(1, 2)
+    cases = [
+        (cs.TruthTable.constant(n, 1), {plus: 1}),
+        (cs.TruthTable.constant(n, -1), {minus: 1}),
+        (cs.TruthTable.character(n, (1 << n) - 1), {alternating: half, flipped: half}),
+    ]
+    laws = _exact_sceneries([f for f, _ in cases], L)
+    for (f, expected), law in zip(cases, laws):
+        assert cs.exact_scenery(f, L).probs == law.probs == expected
+        assert law.total() == 1
+    if n == 2:
+        assert laws[2].probs == walk_scenery(cases[2][0], L)
+
+
+def test_batched_dp_guards(monkeypatch, kfn):
+    twos = kfn(4, 2)
+    # Lowered to criterion 10's 36 x 2**4 vertices x 2**7 words, the
+    # ceiling holds that batch exactly.
+    monkeypatch.setattr(scenery, "MAX_DP_CELLS", 36 << 11)
+    assert len(_exact_sceneries(twos, 6)) == 36
+
+    def refuse(*args):
+        raise AssertionError("a table was unpacked past a guard")
+
+    monkeypatch.setattr(scenery, "_unpack", refuse)
+    for batch, L in ((twos + twos[:1], 6), (twos, 7)):
+        with pytest.raises(BudgetExceeded):
+            _exact_sceneries(batch, L)
+    mixed = [cs.TruthTable.constant(4, 1), cs.TruthTable.constant(5, 1)]
+    with pytest.raises(ShapeMismatch):
+        _exact_sceneries(mixed, 2)
+    # At the real ceiling of 2**20 cells, 540 tables at n = 4 and L = 6 are
+    # 540 x 2**11 cells.
+    monkeypatch.setattr(scenery, "MAX_DP_CELLS", 1 << 20)
+    with pytest.raises(BudgetExceeded):
+        _exact_sceneries(twos * 15, 6)
 
 
 def test_distribution_validation():
