@@ -28,7 +28,8 @@ observable value), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -498,21 +499,125 @@ def _stages(a: np.ndarray, run: int, h: int, stop: int) -> None:
         h *= 2
 
 
+@lru_cache(maxsize=None)
+def _half_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """For each coordinate j < n, the shift 2**j that pairs v with v ^ 2**j
+    and the packed vertices of Q_n whose bit j is clear (where
+    x_{j+1} = +1): runs of 2**j set and 2**j clear bits, doubled up to
+    2**n bits."""
+    out = []
+    for j in range(n):
+        mask, width = (1 << (1 << j)) - 1, 2 << j
+        while width < 1 << n:
+            mask |= mask << width
+            width *= 2
+        out.append((1 << j, mask))
+    return tuple(out)
+
+
+def _disagreements(
+    bits: int | np.ndarray, n: int
+) -> Iterator[tuple[int, int | np.ndarray]]:
+    """For each coordinate j < n in turn, the pair (2**j, d_j): d_j packs
+    the vertices v with bit j clear at which f(v) != f(v ^ 2**j).  The
+    table depends on coordinate j iff d_j is nonzero.
+
+    ``bits`` is one packed table (an int, any n) or a uint64 array of them
+    (n <= 6, one table per entry); the same shifts and masks serve both.
+    A generator, so that only one d_j of 2**n bits is held at a time.
+    """
+    for b, half in _half_masks(n):
+        d = bits >> b
+        d ^= bits
+        d &= half
+        yield b, d
+
+
+#: The Q_6 shifts and masks, those of one 64-vertex word.
+_WORD_HALVES = _half_masks(6)
+
+
+def _constant_coordinates(bits: int, n: int) -> int:
+    """The coordinates a packed table on Q_n does not depend on, as a mask:
+    bit j is set iff f(v) == f(v ^ 2**j) for every v.  :func:`wht`
+    transforms only the other coordinates.
+
+    The first 64 vertices, a Q_6 table, rule out almost every coordinate of
+    a table that depends on all of them: j < 6 within that word, j >= 6 by
+    comparing it with the word 2**j vertices on.  Only if a coordinate is
+    left standing is the whole table scanned, as uint64 words: j < 6 by
+    :func:`_disagreements` with its Q_6 masks, j >= 6 by comparing the
+    words 2**(j - 6) apart.  So no mask of 2**n bits is built, and for
+    n <= 6 the first word is the whole table.
+    """
+    low = bits & 0xFFFF_FFFF_FFFF_FFFF
+    same = 0
+    # The loop of _disagreements(low, min(n, 6)), inlined: it runs on every
+    # wht, where the generator would cost about as much as the test.
+    for b, half in _WORD_HALVES[:n]:
+        if not (low ^ (low >> b)) & half:
+            same |= b
+    if n > 6:
+        raw = bits.to_bytes(1 << (n - 3), "little")
+        head = raw[:8]
+        for j in range(6, n):
+            at = 1 << (j - 3)
+            if raw[at : at + 8] == head:
+                same |= 1 << j
+        if same:
+            words = np.frombuffer(raw, "<u8")
+            if same & 0x3F:
+                for b, d in _disagreements(words, 6):
+                    if same & b and d.any():
+                        same ^= b
+            for j in range(6, n):
+                if same >> j & 1:
+                    pairs = words.reshape(-1, 2, 1 << (j - 6))
+                    if not np.array_equal(pairs[:, 0], pairs[:, 1]):
+                        same ^= 1 << j
+    return same
+
+
 def wht(f: TruthTable) -> Spectrum:
     """The integer-scaled Walsh-Hadamard spectrum of f.
 
     ``wht(f).coeffs[S] == sum(f(v) * chi_S(v) for v) == 2**n * fhat(S)``.
     The result is cached on the table.
+
+    Only the coordinates R that f depends on are transformed.  f restricted
+    to x_j = +1 for every j outside R (:func:`_constant_coordinates`) is a
+    table on Q_|R|; its spectrum, times 2**(n - |R|), gives the
+    coefficients of the masks within R, and every other coefficient is 0.
+    The cost is that scan plus 2**|R| * |R| butterfly updates, and, when
+    |R| < n, one zeroed array of 2**n entries to scatter into.  A table
+    that depends on every coordinate takes the full butterfly with no copy
+    and no scatter.
     """
     if f._spectrum is not None:
         return f._spectrum
-    # In place: 1 - 2 * bits as one expression would hold two int64 arrays.
-    a = _unpack(f.bits, f.n).astype(np.int64)
-    a *= -2
-    a += 1
+    n = f.n
+    skip = _constant_coordinates(f.bits, n)
+    u = _unpack(f.bits, n)
+    if skip:
+        # Axis i of the (2,) * n view is coordinate n - 1 - i; Ellipsis
+        # keeps a 0-d view, not a scalar, when no coordinate is left.
+        keep = tuple(0 if skip >> j & 1 else slice(None) for j in range(n - 1, -1, -1))
+        keep += (Ellipsis,)
+        u = u.reshape((2,) * n)[keep].ravel()
+    # The butterfly runs on the bits u = (1 - f) / 2 themselves, so no
+    # full pass maps them to +/-1: wht(f) = 2**n * [S = 0] - 2 * wht(u),
+    # and each coefficient on Q_|R| stands for 2**(n - |R|) on Q_n.
+    a = u.astype(np.int64)
     _butterfly(a)
+    a *= -2 << skip.bit_count()
+    a[0] += 1 << n
+    if skip:
+        full = np.zeros(1 << n, dtype=np.int64)
+        within = full.reshape((2,) * n)[keep]
+        within[...] = a.reshape(within.shape)
+        a = full
     spectrum = Spectrum.__new__(Spectrum)
-    spectrum._set(f.n, a)
+    spectrum._set(n, a)
     f._spectrum = spectrum
     return spectrum
 

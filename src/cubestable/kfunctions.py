@@ -25,7 +25,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import TruthTable, _butterfly, _check_dimension, _pack, wht
+from .core import (
+    TruthTable,
+    _butterfly,
+    _check_dimension,
+    _disagreements,
+    _pack,
+    wht,
+)
 from .errors import (
     DimensionTooLarge,
     KOutOfRange,
@@ -56,25 +63,16 @@ def flip_count(f: TruthTable, v: int) -> int:
     return sum(mine ^ ((bits >> (v ^ (1 << j))) & 1) for j in range(f.n))
 
 
-@lru_cache(maxsize=None)
-def _half_mask(n: int, j: int) -> int:
-    """Vertices of Q_n whose bit j is clear (where x_{j+1} = +1), packed."""
-    return TruthTable.character(n, 1 << j).bits ^ ((1 << (1 << n)) - 1)
-
-
 def _flip_planes(bits: int | np.ndarray, n: int) -> list:
     """Per-vertex flip counts as bit planes, summed by a carry-save adder:
     plane i holds the vertices whose count has bit i set.
 
-    ``bits`` is one packed table (an int, any n) or a uint64 array of them
-    (n <= 6, one table per entry); the same shifts and masks serve both.
+    ``bits`` is as in :func:`core._disagreements`, whose d for each
+    coordinate j marks the disagreeing pairs (v, v ^ 2**j) at their lower
+    end; d | d << 2**j marks both ends.
     """
     planes = []
-    for j in range(n):
-        b = 1 << j
-        d = bits >> b
-        d ^= bits
-        d &= _half_mask(n, j)
+    for j, (b, d) in enumerate(_disagreements(bits, n)):
         carry = d | (d << b)
         for i, p in enumerate(planes):
             planes[i] = p ^ carry

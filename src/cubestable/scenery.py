@@ -188,11 +188,15 @@ def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistributi
 
     Table b's vertex v is column b * 2**n + v of the state, which holds one
     row per surviving word prefix: entry (w, b * 2**n + v) counts the
-    walks on table b that read the prefix w and are now at v.  A step adds
-    the n neighbour gathers of every row and splits the result by the
-    letter read at v; a row is dropped once it is zero in every table.
-    After L steps table b's part of row w sums to 2**n * n**L * P(w): the
-    nonzero sums are the law's weights as they are, over that norm.
+    walks on table b that read the prefix w and are now at v.  Each of the
+    first L letters splits every row by the letter read at v (a row is
+    dropped once it is zero in every table), and a step then adds the n
+    neighbour gathers of every row.  The last letter is summed, not split:
+    of table b's part of a row, the walks that end on a -1 vertex number
+    (spread * minus).sum(), and the rest spread.sum() less that.  L = 0
+    takes the same path with no step.  Table b's sum for a word w is
+    2**n * n**L * P(w): the nonzero sums are the law's weights as they
+    are, over that norm.
 
     All tables must share n (else :class:`ShapeMismatch`).  Beside the
     guards of :func:`_check_scenery_size`, the batch must hold at most
@@ -228,25 +232,31 @@ def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistributi
     # the same table.
     columns = np.arange(len(fs) * size)
     flips = columns ^ (1 << np.arange(n))[:, None]
-    # step 0: weight 1 on every vertex, split by the letter read there.
-    state = letters
-    # codes[r] spells row r's word in binary, first letter highest and a
-    # set bit for -1, so the rows stay in the order of their +/- strings.
-    codes = np.arange(2)
-    for step in range(L + 1):
-        if step:
-            spread = state[:, flips[0]]
-            for flip in flips[1:]:
-                spread += state[:, flip]
-            # The rows of word + (1,) and word + (-1,) sit side by side.
-            state = (spread[:, None, :] * letters).reshape(-1, len(columns))
-            codes = (2 * codes[:, None] + np.arange(2)).ravel()
+    # spread holds the walks into each vertex before it reads its letter:
+    # at step 0 one on every vertex, under the empty word.  codes[r] spells
+    # row r's word in binary, first letter highest and a set bit for -1,
+    # so the rows stay in the order of their +/- strings.
+    spread = np.ones((1, len(columns)), dtype=minus.dtype)
+    codes = np.zeros(1, dtype=np.int64)
+    for _ in range(L):
+        # The rows of word + (1,) and word + (-1,) sit side by side.
+        state = (spread[:, None, :] * letters).reshape(-1, len(columns))
+        codes = (2 * codes[:, None] + np.arange(2)).ravel()
         live = state.any(axis=1)
         # A k-function with 0 < k < n reads every word, so often no row dies.
         if not live.all():
             state = state[live]
             codes = codes[live]
-    sums = state.reshape(len(codes), len(fs), size).sum(axis=2, dtype=np.int64)
+        spread = state[:, flips[0]]
+        for flip in flips[1:]:
+            spread += state[:, flip]
+    # The last letter is summed, not split into rows: of each table's part
+    # of a row, the walks that end on a -1 vertex, and the rest.
+    spread = spread.reshape(len(codes), len(fs), size)
+    ends_minus = (spread * minus.reshape(len(fs), size)).sum(axis=2, dtype=np.int64)
+    ends_plus = spread.sum(axis=2, dtype=np.int64) - ends_minus
+    sums = np.stack([ends_plus, ends_minus], axis=1).reshape(-1, len(fs))
+    codes = (2 * codes[:, None] + np.arange(2)).ravel()
     laws = []
     for weights in sums.T:
         live = weights > 0

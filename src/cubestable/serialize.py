@@ -40,6 +40,8 @@ from .scenery import SceneryDistribution, Word
 TRUTH_TABLE_ENCODING = "truth_table_hex"
 SPARSE_ENCODING = "sparse"
 
+_HEX = re.compile(r"[0-9a-fA-F]+")
+
 
 def _hex_digits(n: int) -> int:
     return -(-(1 << n) // 4)
@@ -87,11 +89,11 @@ def function_from_json(doc: dict[str, Any]) -> TruthTable | SparsePolynomial:
             raise ValueError(
                 f"truth_table must be a {_hex_digits(n)}-digit hex string for n={n}"
             )
-        try:
-            bits = int(text[::-1], 16)
-        except ValueError:
-            raise ValueError("truth_table is not valid hex") from None
-        return TruthTable(n, bits)
+        # int(text, 16) alone would also take "_", surrounding whitespace,
+        # a sign and non-ASCII digits.
+        if not _HEX.fullmatch(text):
+            raise ValueError("truth_table is not valid hex")
+        return TruthTable(n, int(text[::-1], 16))
     if encoding == SPARSE_ENCODING:
         raw = doc.get("terms")
         if not isinstance(raw, list):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cubestable as cs
-from cubestable import serialize
+from cubestable import core, serialize
 from cubestable.core import _sparse_numerators
 from cubestable.errors import (
     DimensionTooLarge,
@@ -60,6 +60,115 @@ def test_wht_numpy_path_agrees_with_list_path():
         spectrum = cs.wht(f)
         assert cs.inverse_wht(spectrum) == f
         assert sum(c * c for c in spectrum.coeffs) == 4**n
+
+
+def junta(n: int, coords: list[int], rng: random.Random) -> cs.TruthTable:
+    """A random table on Q_n that depends on exactly the coordinates listed
+    (0-based): a table g on Q_len(coords) that depends on each of its own,
+    read at the listed coordinates of each vertex."""
+    r = len(coords)
+    while True:
+        g = cs.TruthTable(r, rng.getrandbits(1 << r))
+        if all(depends_on(g, t + 1) for t in range(r)):
+            break
+    v = np.arange(1 << n)
+    at = sum((((v >> j) & 1) << t for t, j in enumerate(coords)), 0 * v)
+    return cs.TruthTable(n, core._pack(core._unpack(g.bits, r)[at]))
+
+
+def tensor_wht(f: cs.TruthTable) -> list[int]:
+    """The transform as one 2-point sum and difference along each axis of
+    the (2,) * n view: a second oracle, no butterfly, for n up to 12."""
+    x = (1 - 2 * core._unpack(f.bits, f.n).astype(np.int64)).reshape((2,) * f.n)
+    for axis in range(f.n):
+        lo, hi = np.take(x, 0, axis=axis), np.take(x, 1, axis=axis)
+        x = np.stack([lo + hi, lo - hi], axis=axis)
+    return x.ravel().tolist()
+
+
+def junta_coordinate_sets(n: int, rng: random.Random) -> list[list[int]]:
+    """The empty set, {0}, {0, 1, 2}, {n - 1}, every coordinate, sets that
+    mix j < 3 with j >= 3, and random ones."""
+    sets = [[], [0], [0, 1, 2], [n - 1], list(range(n))]
+    sets += [[1, 3], [0, 2, n - 1], sorted({2, n // 2, n - 2})]
+    sets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+    return sets
+
+
+def test_wht_on_juntas_matches_the_defining_sum():
+    rng = random.Random(19)
+    for n in range(4, 13):
+        for coords in junta_coordinate_sets(n, rng):
+            f = junta(n, coords, rng)
+            mask = sum(1 << j for j in coords)
+            assert core._constant_coordinates(f.bits, n) == ((1 << n) - 1) ^ mask
+            spectrum = cs.wht(f)
+            want = naive_wht(f) if n <= 7 else tensor_wht(f)
+            assert list(spectrum.coeffs) == want, (n, coords)
+            assert spectrum._a.dtype == np.int64 and spectrum._a.shape == (1 << n,)
+            assert not spectrum._a.flags.writeable
+            assert cs.wht(f) is spectrum and f._spectrum is spectrum
+            assert cs.relevant_indices(spectrum) == {j + 1 for j in coords}
+            table = cs.inverse_wht(spectrum)
+            assert table == f and table._spectrum is spectrum
+    # n = 8 against the defining sum itself, term by term.
+    for coords in ([], [0, 1, 2], [2, 5, 7], list(range(8))):
+        f = junta(8, coords, rng)
+        assert list(cs.wht(f).coeffs) == naive_wht(f)
+
+
+def test_wht_butterflies_only_the_relevant_coordinates(monkeypatch):
+    sizes = []
+    butterfly = core._butterfly
+
+    def record(a):
+        sizes.append(a.size)
+        butterfly(a)
+
+    monkeypatch.setattr(core, "_butterfly", record)
+    rng = random.Random(20)
+    for n, coords in ((12, [1, 4, 11]), (9, []), (10, list(range(10))), (3, [2])):
+        cs.wht(junta(n, coords, rng))
+        assert sizes.pop() == 1 << len(coords)
+
+
+def test_constant_coordinates_scan_past_the_first_word():
+    # A junta with one vertex flipped far from vertex 0 depends on every
+    # coordinate, though its first word, and most words compared with it,
+    # show only the junta's: the whole-table scan must find the rest.
+    rng = random.Random(21)
+    for n, coords in ((7, [0]), (9, [6]), (10, [1, 7]), (12, []), (13, [2, 3, 12])):
+        g = junta(n, coords, rng)
+        full = (1 << n) - 1
+        for v in (full, 1 << (n - 1), 3 << (n - 2)):
+            f = cs.TruthTable(n, g.bits ^ (1 << v))
+            assert core._constant_coordinates(f.bits, n) == 0
+            assert list(cs.wht(f).coeffs) == tensor_wht(f)
+        # Flipping a vertex and its neighbour across coordinate j keeps j out.
+        j = next(j for j in range(n) if j not in coords)
+        v = rng.randrange(1 << n)
+        f = cs.TruthTable(n, g.bits ^ (1 << v) ^ (1 << (v ^ (1 << j))))
+        assert core._constant_coordinates(f.bits, n) == 1 << j
+        assert list(cs.wht(f).coeffs) == tensor_wht(f)
+
+
+def test_wht_caches_no_mask_of_the_table_size():
+    # The scan uses only Q_6 masks, even where it falls back to the whole
+    # table; a 2**n-bit mask per coordinate would stay in the cache.
+    core._half_masks.cache_clear()
+    rng = random.Random(22)
+    for n, coords in ((14, [0, 3, 9]), (14, list(range(14))), (13, [])):
+        cs.wht(junta(n, coords, rng))
+    assert core._half_masks.cache_info().currsize == 1
+
+
+def test_half_masks_are_the_complements_of_the_characters():
+    for n in range(13):
+        full = (1 << (1 << n)) - 1
+        characters = [cs.TruthTable.character(n, 1 << j).bits for j in range(n)]
+        assert core._half_masks(n) == tuple(
+            (1 << j, chi ^ full) for j, chi in enumerate(characters)
+        )
 
 
 def test_butterfly_blocks_match_the_defining_sum(monkeypatch):

@@ -67,6 +67,12 @@ def test_exact_scenery_at_the_cell_ceiling():
     d = cs.exact_scenery(cs.TruthTable.constant(8, 1), 11)
     assert d.probs == {(1,) * 12: 1}
     assert d.total() == 1
+    # The state is uint64 there (8**11 = 2**33); every walk on the full
+    # parity reads an alternating word.
+    alternating = tuple((-1) ** i for i in range(12))
+    flipped = tuple(-a for a in alternating)
+    d = cs.exact_scenery(cs.TruthTable.character(8, 0xFF), 11)
+    assert d.probs == {alternating: Fraction(1, 2), flipped: Fraction(1, 2)}
     f = cs.TruthTable(7, random.Random(12).getrandbits(1 << 7))
     d = cs.exact_scenery(f, 12)
     assert d.total() == 1
@@ -201,10 +207,12 @@ def test_exact_scenery_cell_ceiling(monkeypatch):
     allowed = cs.exact_scenery(cs.TruthTable.constant(4, 1), 12)
     assert allowed.probs == {(1,) * 13: 1}
 
-    def refuse(self):
-        raise AssertionError("values() reached past the ceiling")
+    # The DP unpacks each table with _unpack, so refusing that proves the
+    # ceiling holds before the table is densified.
+    def refuse(*args):
+        raise AssertionError("a table was unpacked past the ceiling")
 
-    monkeypatch.setattr(cs.TruthTable, "values", refuse)
+    monkeypatch.setattr(scenery, "_unpack", refuse)
     with pytest.raises(BudgetExceeded):
         cs.exact_scenery(cs.TruthTable.constant(20, 1), 0)
 
@@ -231,6 +239,24 @@ def test_batched_dp_gives_each_table_its_own_law(kfn):
             assert laws[0].codes.tolist() == [0]
             assert 0 not in laws[1].codes and len(laws[2].codes) > 1
     assert _exact_sceneries([], 4) == []
+
+
+def test_batched_dp_at_zero_one_and_two_steps(kfn):
+    # The last letter is summed, not split into a doubled state, at every L;
+    # at L = 0 there is no step at all.
+    rng = random.Random(15)
+    for n in (1, 2, 3, 4):
+        batch = [cs.TruthTable.constant(n, 1), cs.TruthTable.constant(n, -1)]
+        batch += [cs.TruthTable.dictator(n, n), cs.TruthTable.character(n, (1 << n) - 1)]
+        batch += [cs.TruthTable(n, rng.getrandbits(1 << n)) for _ in range(4)]
+        batch += kfn(n, 1)[:2]
+        for L in (0, 1, 2):
+            laws = _exact_sceneries(batch, L)
+            for f, law in zip(batch, laws):
+                assert law.probs == walk_scenery(f, L), (f, L)
+                assert law == cs.exact_scenery(f, L)
+                assert law.codes.dtype == np.int64
+                assert law.codes.tolist() == sorted(law.codes.tolist())
 
 
 @pytest.mark.parametrize("n, L", [(2, 7), (2, 8), (4, 4), (4, 8), (8, 5)])

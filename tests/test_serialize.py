@@ -89,6 +89,19 @@ def test_function_from_json_rejects_malformed():
             serialize.function_from_json(doc)
 
 
+def test_truth_table_takes_only_ascii_hex_digits():
+    # int(text, 16) reads each of these as 0x11: an underscore, padding
+    # whitespace, a trailing sign after whitespace, a full-width digit.
+    for n, text in ((4, "1_10"), (4, " 11 "), (4, "11+ "), (3, "１1")):
+        doc = {"encoding": "truth_table_hex", "n": n, "truth_table": text}
+        with pytest.raises(ValueError, match="not valid hex"):
+            serialize.function_from_json(doc)
+    # Either case is hex; the first digit holds vertices 0..3.
+    for text in ("a0C0", "A0c0"):
+        doc = {"encoding": "truth_table_hex", "n": 4, "truth_table": text}
+        assert serialize.function_from_json(doc) == cs.TruthTable(4, 0x0C0A)
+
+
 def test_function_from_json_bounds_before_allocating():
     for n in (27, -1):
         doc = {"encoding": "truth_table_hex", "n": n, "truth_table": "0"}
