@@ -28,6 +28,8 @@ from .constructions import (
 from .core import (
     SparsePolynomial,
     TruthTable,
+    _constant_coordinates,
+    _within,
     inverse_wht,
     relevant_indices,
     spectrum_from_sparse,
@@ -156,13 +158,17 @@ def _spectral_certificate(
     h: TruthTable | SparsePolynomial,
 ) -> dict[str, Any]:
     if isinstance(h, TruthTable):
-        # One scan of the 2**n coefficients gives the levels, the term
-        # count and the relevant variables.
-        masks = np.flatnonzero(wht(h)._a)
-        counts = np.bincount(np.bitwise_count(masks))
+        # Every nonzero coefficient sits on a mask within the coordinates h
+        # depends on, so one scan of those 2**|R| entries finds them all.
+        # Their indices there keep the masks' popcounts, and the popcount
+        # of the masks' OR: the levels, the term count and the relevant
+        # variables need no mask of Q_n.
+        skip = _constant_coordinates(h.bits, h.n)
+        hits = np.flatnonzero(_within(wht(h)._a, h.n, skip))
+        counts = np.bincount(np.bitwise_count(hits))
         levels = frozenset(np.flatnonzero(counts).tolist())
-        terms = len(masks)
-        rel = int(np.bitwise_or.reduce(masks)).bit_count()
+        terms = len(hits)
+        rel = int(np.bitwise_or.reduce(hits)).bit_count()
         parseval_one = True  # Boolean by construction
     else:
         levels = h.support_levels()

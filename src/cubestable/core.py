@@ -578,6 +578,21 @@ def _constant_coordinates(bits: int, n: int) -> int:
     return same
 
 
+def _within(a: np.ndarray, n: int, skip: int) -> np.ndarray:
+    """The view of a 2**n-entry array ``a`` at the masks that avoid the
+    coordinates in ``skip``, shaped (2,) * (n - |skip|).
+
+    Entry i of its C-order ravel is the mask that spreads the bits of i,
+    lowest first, over the coordinates outside ``skip``, lowest first: so
+    that mask and i have the same popcount, and a set of such masks ORs
+    to a mask of the same popcount as their indices' OR.
+    """
+    # Axis i of the (2,) * n view is coordinate n - 1 - i; Ellipsis keeps a
+    # 0-d view, not a scalar, when no coordinate is left.
+    keep = tuple(0 if skip >> j & 1 else slice(None) for j in range(n - 1, -1, -1))
+    return a.reshape((2,) * n)[keep + (Ellipsis,)]
+
+
 def wht(f: TruthTable) -> Spectrum:
     """The integer-scaled Walsh-Hadamard spectrum of f.
 
@@ -599,11 +614,7 @@ def wht(f: TruthTable) -> Spectrum:
     skip = _constant_coordinates(f.bits, n)
     u = _unpack(f.bits, n)
     if skip:
-        # Axis i of the (2,) * n view is coordinate n - 1 - i; Ellipsis
-        # keeps a 0-d view, not a scalar, when no coordinate is left.
-        keep = tuple(0 if skip >> j & 1 else slice(None) for j in range(n - 1, -1, -1))
-        keep += (Ellipsis,)
-        u = u.reshape((2,) * n)[keep].ravel()
+        u = _within(u, n, skip).ravel()
     # The butterfly runs on the bits u = (1 - f) / 2 themselves, so no
     # full pass maps them to +/-1: wht(f) = 2**n * [S = 0] - 2 * wht(u),
     # and each coefficient on Q_|R| stands for 2**(n - |R|) on Q_n.
@@ -613,7 +624,7 @@ def wht(f: TruthTable) -> Spectrum:
     a[0] += 1 << n
     if skip:
         full = np.zeros(1 << n, dtype=np.int64)
-        within = full.reshape((2,) * n)[keep]
+        within = _within(full, n, skip)
         within[...] = a.reshape(within.shape)
         a = full
     spectrum = Spectrum.__new__(Spectrum)

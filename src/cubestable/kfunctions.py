@@ -50,6 +50,9 @@ MAX_COUNT_N = 6
 
 
 def _check_k(n: int, k: int) -> None:
+    """Refuse a negative n as a dimension error, then a k outside 0..n."""
+    if n < 0:
+        raise DimensionTooLarge(f"n must be >= 0, got n={n}")
     if not 0 <= k <= n:
         raise KOutOfRange(f"k={k} outside 0..{n}")
 
@@ -217,12 +220,15 @@ def enumerate_spectral(
 
     Raises :class:`SearchBudgetExceeded` once more than ``node_budget``
     assignments have been tried, after yielding every function found
-    before that point.
+    before that point.  n is checked before k, and a negative
+    ``node_budget`` is a ValueError; all three before any search.
     """
+    _check_dimension(n)
     if k < 1:
         raise KOutOfRange("spectral search needs k >= 1; 0-functions are +/-1")
     _check_k(n, k)
-    _check_dimension(n)
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     return _spectral_hits(n, k, node_budget)
 
 

@@ -15,6 +15,17 @@ For a k-function every vertex sees exactly k of its n neighbours disagree,
 so the observed sign flips with probability k/n at every step regardless of
 where the walk is; that closed form is :func:`markov_scenery`, and
 :func:`exact_scenery` is the model-level dynamic program it must match.
+
+The dynamic program (:func:`_walk_dp`) counts walks per cell of a partition
+of Q_n's vertices.  On the discrete partition, one cell per vertex, it
+follows every walk; on any equitable partition that refines the level sets
+it gives the same law, as counts within a cell never differ.  A k-function's
+two level sets are such a partition: every vertex has n - k neighbours of
+its own sign and k of the other.  :func:`exact_scenery` runs a k-function on
+those two cells and any other table on its vertices; the batch
+:func:`_exact_sceneries`, which criterion 10 of ``verify`` checks against
+:func:`markov_scenery`, always runs on the vertices, so that check does not
+assume the lumping it would prove.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import numpy as np
 
 from .core import TruthTable, _unpack
 from .errors import BudgetExceeded, KOutOfRange, ShapeMismatch, ZeroDimension
+from .kfunctions import _uniform_flips
 
 #: Ceiling on the number of steps (word space 2**(L+1)).
 MAX_STEPS = 12
@@ -176,27 +188,41 @@ def _check_scenery_size(n: int, L: int) -> None:
 
 
 def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
-    """The word distribution under the walk model, by dynamic programming:
-    :func:`_exact_sceneries` on a batch of one table.
+    """The word distribution under the walk model, by dynamic programming.
+
+    A k-function's DP runs on its two level sets (:func:`_walk_dp`): the
+    +1 cell of 2**n - w vertices and the -1 cell of w, where w counts the
+    table's -1 vertices.  Every vertex has n - k neighbours in its own cell
+    and k in the other, so coordinate j keeps a walk in its cell for n - k
+    of the n coordinates and moves it across for the other k: those are
+    the cells' maps.  Each cell counts k neighbours in the other, so the
+    quotient matrix [[n - k, k], [k, n - k]] is symmetric, as the DP needs.
+    The constants (k = 0, one cell empty) and the full parity (k = n) are
+    k-functions too.  Any other table runs on its vertices, as
+    :func:`_exact_sceneries` on a batch of one.
+
     Raises as :func:`_check_scenery_size` does, before any work.
     """
-    return _exact_sceneries([f], L)[0]
+    n = f.n
+    _check_scenery_size(n, L)
+    k = _uniform_flips(f.bits, n)
+    if k < 0:
+        return _exact_sceneries([f], L)[0]
+    w = f.bits.bit_count()
+    maps = np.array([[0, 1]] * (n - k) + [[1, 0]] * k)
+    (law,) = _walk_dp(n, L, np.array([[0, 1]]), np.array([[(1 << n) - w, w]]), maps)
+    return law
 
 
 def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistribution]:
-    """:func:`exact_scenery` of every table of a batch, by one DP.
+    """:func:`exact_scenery` of every table of a batch, by one DP on the
+    vertices of every table (:func:`_walk_dp`, the discrete partition).
 
-    Table b's vertex v is column b * 2**n + v of the state, which holds one
-    row per surviving word prefix: entry (w, b * 2**n + v) counts the
-    walks on table b that read the prefix w and are now at v.  Each of the
-    first L letters splits every row by the letter read at v (a row is
-    dropped once it is zero in every table), and a step then adds the n
-    neighbour gathers of every row.  The last letter is summed, not split:
-    of table b's part of a row, the walks that end on a -1 vertex number
-    (spread * minus).sum(), and the rest spread.sum() less that.  L = 0
-    takes the same path with no step.  Table b's sum for a word w is
-    2**n * n**L * P(w): the nonzero sums are the law's weights as they
-    are, over that norm.
+    Table b's vertex v is column b * 2**n + v, of start count 1, and its
+    map j is v -> v ^ 2**j within table b.  The batch never takes the
+    level-set cells, even for k-functions: criterion 10 runs it so that
+    each table's law comes from a walk over all of its vertices, which is
+    what it checks against :func:`markov_scenery`.
 
     All tables must share n (else :class:`ShapeMismatch`).  Beside the
     guards of :func:`_check_scenery_size`, the batch must hold at most
@@ -215,53 +241,93 @@ def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistributi
             f"{len(fs)} tables x 2**{n} vertices x 2**{L + 1} words exceeds "
             f"the {MAX_DP_CELLS}-cell ceiling"
         )
-    size = 1 << n
-    # An entry after t steps counts t-step walks into v, so it is at most
-    # n**t, reached when every walk into v reads one word (a constant
-    # table): the state takes the narrowest unsigned dtype that holds n**L
-    # itself (uint16 for criterion 10's n = 4, L = 6).  A table's part of a row sums
-    # to at most 2**n * n**L, which under the two ceilings (2**n * 2**(L+1)
-    # <= 2**20, L <= 12) is at most 2**41 (n = 8, L = 11): the sums are
-    # taken in int64.
     # Each table unpacks on its own: a uint64 array of tables stops at n = 6.
-    minus = np.concatenate([_unpack(f.bits, n) for f in fs])
-    minus = minus.astype(np.min_scalar_type(n**L))
-    # letters[0] is 1 where a table reads +1, letters[1] where it reads -1.
-    letters = np.stack([1 - minus, minus])
-    # flips[j] maps each column to its neighbour across coordinate j, in
-    # the same table.
-    columns = np.arange(len(fs) * size)
-    flips = columns ^ (1 << np.arange(n))[:, None]
-    # spread holds the walks into each vertex before it reads its letter:
-    # at step 0 one on every vertex, under the empty word.  codes[r] spells
+    minus = np.stack([_unpack(f.bits, n) for f in fs])
+    columns = np.arange(minus.size)
+    maps = columns ^ (1 << np.arange(n))[:, None]
+    return _walk_dp(n, L, minus, np.ones_like(minus), maps)
+
+
+def _walk_dp(
+    n: int, L: int, minus: np.ndarray, sizes: np.ndarray, maps: np.ndarray
+) -> list[SceneryDistribution]:
+    """The laws of B tables on Q_n, by one walk DP over the cells of a
+    partition of each table's vertices.
+
+    Every vertex of a cell must read one letter, and every vertex of cell c
+    must have its neighbour across coordinate j in cell maps[j][c] as far as
+    counts go: the n maps give each cell's neighbour count in every cell
+    (an equitable partition that refines the level sets).  Cell c must also
+    count as many neighbours in c' as c' counts in c (a symmetric quotient
+    matrix): then a step sends a cell's total, not only its per-vertex
+    count, to the sum of its n gathers.  Table b's cells are columns
+    b * C .. b * C + C - 1: ``minus`` and ``sizes`` are (B, C) arrays of
+    each cell's letter (1 for -1) and vertex count, and ``maps`` is
+    (n, B * C), mapping each column to one of the same table.
+
+    The state holds one row per surviving word prefix: entry (w, c) counts
+    the walks that read the prefix w and are now in cell c.  Each of the
+    first L letters splits every row by the letter read in each cell (a
+    row is dropped once it is zero in every table), and a step then sums
+    the n gathers of every row.  The last letter is split and summed over
+    each table's cells, not kept as rows.  L = 0 takes the same path with
+    no step.  Table b's sum for a word w is 2**n * n**L * P(w): the
+    nonzero sums are the law's weights as they are, over that norm.
+    """
+    tables, cells = minus.shape
+    # An entry after t steps counts t-step walks into a cell, so it is at
+    # most (its size) * n**t, reached when every walk into the cell reads
+    # one word (a constant table): the state takes the narrowest unsigned
+    # dtype that holds the largest size times n**L (uint16 for criterion
+    # 10's vertices, n = 4, L = 6; uint32 for a constant's one cell at
+    # n = 4, L = 7, where n**L alone would fit uint16).  A table's part of
+    # a row sums to at most 2**n * n**L, which under the two ceilings
+    # (2**n * 2**(L+1) <= 2**20, L <= 12) is at most 2**41 (n = 8, L = 11):
+    # the sums are taken in int64.
+    dtype = np.min_scalar_type(int(sizes.max()) * n**L)
+    minus = minus.astype(dtype).ravel()
+    # letters[0] is 1 where a cell reads +1, letters[1] where it reads -1.
+    letters = np.array([[1], [0]], dtype=dtype) ^ minus
+    # spread holds the walks into each cell before it reads its letter: at
+    # step 0 one from each vertex, under the empty word.  codes[r] spells
     # row r's word in binary, first letter highest and a set bit for -1,
-    # so the rows stay in the order of their +/- strings.
-    spread = np.ones((1, len(columns)), dtype=minus.dtype)
-    codes = np.zeros(1, dtype=np.int64)
+    # so the rows stay in the order of their +/- strings.  codes stays None
+    # while no row has been dropped, as row r then spells r.
+    spread = sizes.astype(dtype).reshape(1, -1)
+    codes = None
+    letter = np.arange(2)
+    # When both letters are read somewhere, a row with no zero entry splits
+    # into two live rows, so one test of the whole spread can stand in for
+    # the test of each row.
+    both = minus.any() and not minus.all()
     for _ in range(L):
         # The rows of word + (1,) and word + (-1,) sit side by side.
-        state = (spread[:, None, :] * letters).reshape(-1, len(columns))
-        codes = (2 * codes[:, None] + np.arange(2)).ravel()
-        live = state.any(axis=1)
-        # A k-function with 0 < k < n reads every word, so often no row dies.
-        if not live.all():
-            state = state[live]
-            codes = codes[live]
-        spread = state[:, flips[0]]
-        for flip in flips[1:]:
-            spread += state[:, flip]
-    # The last letter is summed, not split into rows: of each table's part
-    # of a row, the walks that end on a -1 vertex, and the rest.
-    spread = spread.reshape(len(codes), len(fs), size)
-    ends_minus = (spread * minus.reshape(len(fs), size)).sum(axis=2, dtype=np.int64)
-    ends_plus = spread.sum(axis=2, dtype=np.int64) - ends_minus
-    sums = np.stack([ends_plus, ends_minus], axis=1).reshape(-1, len(fs))
-    codes = (2 * codes[:, None] + np.arange(2)).ravel()
+        state = (spread[:, None, :] * letters).reshape(-1, len(minus))
+        if codes is not None:
+            codes = (2 * codes[:, None] + letter).ravel()
+        if not (both and spread.all()):
+            live = state.any(axis=1)
+            if not live.all():
+                state = state[live]
+                codes = np.flatnonzero(live) if codes is None else codes[live]
+        # One gather of all n maps, then their sum: two numpy calls a step,
+        # where a loop over the maps makes 2n - 1.  Its temporary is n
+        # times the state, at most 32 MiB under the ceilings (n = 8, L = 11).
+        spread = state[:, maps].sum(axis=1, dtype=dtype)
+    # The last letter: of each table's part of a row, the walks that end on
+    # a +1 cell and those that end on a -1 cell.
+    spread = spread.reshape(-1, 1, tables, cells)
+    letters = letters.reshape(2, tables, cells)
+    sums = (spread * letters).sum(axis=3, dtype=np.int64).reshape(-1, tables)
+    if codes is None:
+        codes = np.arange(len(sums))
+    else:
+        codes = (2 * codes[:, None] + letter).ravel()
     laws = []
     for weights in sums.T:
         live = weights > 0
         dist = SceneryDistribution.__new__(SceneryDistribution)
-        dist._set(n, L, codes[live], weights[live], size * n**L)
+        dist._set(n, L, codes[live], weights[live], (1 << n) * n**L)
         laws.append(dist)
     return laws
 

@@ -34,6 +34,11 @@ def _check_args(q: int, t: int) -> None:
         raise ValueError(f"q and t must be >= 0, got ({q}, {t})")
 
 
+def _check_memo_limit(memo_limit: int) -> None:
+    if memo_limit < 0:
+        raise ValueError(f"memo limit must be >= 0, got {memo_limit}")
+
+
 def _columns(q: int, t: int, memo_limit: int) -> Iterator[int]:
     """S(q, t') for t' = 0, 1, ..., t.
 
@@ -43,8 +48,10 @@ def _columns(q: int, t: int, memo_limit: int) -> Iterator[int]:
     itself, and the pair +/-x is the column shifted up by x**2 slots and
     doubled.  Slots past q are masked off.  The budget is on q*t: past
     ``memo_limit`` the first step raises :class:`BudgetExceeded` before
-    anything else is computed.
+    anything else is computed, and a negative ``memo_limit`` is a
+    ValueError there.
     """
+    _check_memo_limit(memo_limit)
     if q * t > memo_limit:
         # No q*t in the message: past 4,300 digits str() of it raises.
         raise BudgetExceeded(f"q*t exceeds memo limit {memo_limit}")
@@ -204,6 +211,7 @@ def f_upper_bound(
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
+    _check_memo_limit(memo_limit)
     # q = 4**(k-1) alone is over the limit; refuse a huge k before 4**(k-1).
     if k - 1 > memo_limit.bit_length() or 4 ** (k - 1) > memo_limit:
         raise BudgetExceeded(f"q = 4**{k - 1} exceeds memo limit {memo_limit}")

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from importlib import resources
 
@@ -263,6 +264,48 @@ def test_construct_lemma7_verify_on_q16(capsys, tmp_path):
     assert cert["ok"] is True and cert["k"] == 3 == cs.uniform_flip_count(h)
 
 
+def full_scan_certificate(h: cs.TruthTable) -> dict:
+    """The reference route for a table's certificate: one scan of all 2**n
+    coefficients of wht(h), with the masks themselves."""
+    masks = np.flatnonzero(cs.wht(h)._a)
+    levels = frozenset(np.flatnonzero(np.bincount(np.bitwise_count(masks))).tolist())
+    return {
+        "check": "spectral-level",
+        "ok": len(levels) == 1,
+        "k": next(iter(levels)) if len(levels) == 1 else None,
+        "terms": len(masks),
+        "relevant": int(np.bitwise_or.reduce(masks)).bit_count(),
+    }
+
+
+def test_certificate_scan_within_the_relevant_coordinates():
+    rng = random.Random(21)
+    twos = list(cs.enumerate_spectral(5, 2))
+    small = [twos[7], cs.complement(twos[99]), cs.TruthTable(5, rng.getrandbits(32))]
+    small.append(cs.TruthTable(4, rng.getrandbits(16)))
+    tables = []
+    for n in range(10, 19, 2):
+        # Padded: the relevant coordinates are spread over Q_n by a random
+        # signed automorphism, so they are not the lowest ones.
+        for f in small:
+            g = cs.pad_to(f, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            a = cs.SignedAutomorphism(n, 1, rng.getrandbits(n), tuple(perm))
+            tables.append(cs.apply(a, g))
+        pair = cs.pad_to(twos[3], n - 2), cs.pad_to(twos[40], n - 2)
+        tables.append(cs.lift_pair(*pair))
+    # Tables that depend on every coordinate: random, and the full parity.
+    for n in (10, 12, 14):
+        tables.append(cs.TruthTable(n, rng.getrandbits(1 << n)))
+        tables.append(cs.TruthTable.character(n, (1 << n) - 1))
+    tables += [cs.TruthTable.constant(12, 1), cs.TruthTable.constant(3, -1)]
+    for h in tables:
+        cert = cli._spectral_certificate(h)
+        assert json.dumps(cert) == json.dumps(full_scan_certificate(h)), h.n
+    assert {cli._spectral_certificate(h)["ok"] for h in tables} == {True, False}
+
+
 def test_construct_uncoverable4(capsys):
     code, out, _ = run(capsys, ["construct", "--recipe", "uncoverable4", "--verify"])
     assert code == 0
@@ -432,6 +475,30 @@ def test_input_exit_codes(capsys, tmp_path):
     )
     assert code == 3 and time.perf_counter() - start < 1
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (["enumerate", "--n", "3", "--k", "1", "--method", "spectral",
+          "--budget-nodes", "-5"], "ValueError", "node budget must be >= 0, got -5"),
+        (["sos", "--q", "4", "--t", "3", "--budget-memo", "-1"],
+         "ValueError", "memo limit must be >= 0, got -1"),
+        (["sos", "--f-bound", "--n", "4", "--k", "2", "--budget-memo", "-1"],
+         "ValueError", "memo limit must be >= 0, got -1"),
+        (["enumerate", "--n", "-1", "--k", "1", "--method", "spectral"],
+         "DimensionTooLarge", None),
+        (["enumerate", "--n", "-1", "--k", "0"], "DimensionTooLarge", None),
+    ],
+)
+def test_negative_budgets_and_dimensions_are_usage_errors(capsys, argv, error, message):
+    # Exit 2, an input error, not 3 (a budget spent) or a complaint about k.
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["error"] == error
+    if message is not None:
+        assert report["message"] == message
 
 
 def test_usage_exit_code_from_argparse(capsys):

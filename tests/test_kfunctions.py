@@ -199,6 +199,28 @@ def test_spectral_dimension_guard_is_eager():
             cs.enumerate_spectral(n, 1)
 
 
+def test_negative_n_is_a_dimension_error():
+    # n is checked before k, so no k is reported as out of 0..n.
+    for k in (0, 1):
+        with pytest.raises(DimensionTooLarge):
+            cs.enumerate_spectral(-1, k)
+        with pytest.raises(DimensionTooLarge):
+            next(cs.enumerate_truth_tables(-1, k))
+    with pytest.raises(DimensionTooLarge):
+        cs.p_parameter(-1, 1)
+
+
+def test_spectral_refuses_a_negative_budget(monkeypatch):
+    monkeypatch.setattr(kfunctions, "_spectral_hits", unreachable)
+    for budget in (-1, -5):
+        with pytest.raises(ValueError, match="node budget"):
+            cs.enumerate_spectral(3, 1, node_budget=budget)
+    monkeypatch.undo()
+    # A budget of 0 still stops the search at its first node.
+    with pytest.raises(SearchBudgetExceeded):
+        list(cs.enumerate_spectral(3, 1, node_budget=0))
+
+
 def test_level_masks_in_lexicographic_order():
     for n in range(9):
         for k in range(n + 1):

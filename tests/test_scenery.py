@@ -84,11 +84,17 @@ def test_shared_law_on_q5():
     twos = list(cs.enumerate_spectral(5, 2))
     assert len(twos) == 140
     laws = {k: cs.markov_scenery(5, k, 8) for k in (2, 3)}
-    for f in twos:
-        g = cs.complement(f)
+    threes = [cs.complement(f) for f in twos]
+    for f, g in zip(twos, threes):
         assert cs.uniform_flip_count(g) == 3
         assert cs.exact_scenery(f, 8) == laws[2]
         assert cs.exact_scenery(g, 8) == laws[3]
+    # The same on every vertex, where exact_scenery walks two cells: 32
+    # tables a batch fill the cell ceiling at n = 5 and L = 8.
+    for k, tables in ((2, twos), (3, threes)):
+        for i in range(0, len(tables), 32):
+            batch = _exact_sceneries(tables[i : i + 32], 8)
+            assert all(law == laws[k] for law in batch)
 
 
 def test_exact_and_markov_laws_have_equal_fields():
@@ -147,13 +153,18 @@ def test_exact_matches_markov_small_grid(kfn):
             want = cs.markov_scenery(n, k, 3)
             for f in kfn(n, k):
                 assert cs.distributions_equal(cs.exact_scenery(f, 3), want)
+            for law in _exact_sceneries(kfn(n, k), 3):
+                assert cs.distributions_equal(law, want)
 
 
 def test_exact_matches_markov_q4_samples(kfn):
     want = cs.markov_scenery(4, 2, 4)
     rng = random.Random(5)
-    for f in rng.sample(kfn(4, 2), 6):
+    sample = rng.sample(kfn(4, 2), 6)
+    for f in sample:
         assert cs.distributions_equal(cs.exact_scenery(f, 4), want)
+    for law in _exact_sceneries(sample, 4):
+        assert cs.distributions_equal(law, want)
 
 
 def test_total_probability_any_table():
@@ -207,14 +218,67 @@ def test_exact_scenery_cell_ceiling(monkeypatch):
     allowed = cs.exact_scenery(cs.TruthTable.constant(4, 1), 12)
     assert allowed.probs == {(1,) * 13: 1}
 
-    # The DP unpacks each table with _unpack, so refusing that proves the
-    # ceiling holds before the table is densified.
+    # exact_scenery scans the flip counts with _uniform_flips and the DP on
+    # vertices unpacks each table with _unpack, so refusing both proves the
+    # ceiling holds before the table is scanned or densified.
     def refuse(*args):
-        raise AssertionError("a table was unpacked past the ceiling")
+        raise AssertionError("a table was scanned or unpacked past the ceiling")
 
+    monkeypatch.setattr(scenery, "_uniform_flips", refuse)
     monkeypatch.setattr(scenery, "_unpack", refuse)
     with pytest.raises(BudgetExceeded):
         cs.exact_scenery(cs.TruthTable.constant(20, 1), 0)
+
+
+def _same_fields(a, b):
+    assert (a.n, a.L, a.norm, a.weights) == (b.n, b.L, b.norm, b.weights)
+    assert np.array_equal(a.codes, b.codes)
+
+
+def test_level_set_dp_equals_vertex_dp(kfn, monkeypatch):
+    # exact_scenery runs a k-function on its two level sets and
+    # _exact_sceneries on its vertices: the laws agree field by field at
+    # every L up to 8 that the cell ceiling allows (all of them here).
+    tables = [f for n in range(1, 5) for k in range(n + 1) for f in kfn(n, k)]
+    twos = list(cs.enumerate_spectral(5, 2))
+    tables += twos + [cs.complement(f) for f in twos]
+    by_n = {}
+    for f in tables:
+        by_n.setdefault(f.n, []).append(f)
+    for n, group in by_n.items():
+        for L in range(9):
+            batch = scenery.MAX_DP_CELLS >> (n + L + 1)
+            vertex_laws = []
+            for i in range(0, len(group), batch):
+                vertex_laws += _exact_sceneries(group[i : i + batch], L)
+            with monkeypatch.context() as m:
+                # No table is unpacked, so none takes the vertex route.
+                m.setattr(scenery, "_unpack", None)
+                cell_laws = [cs.exact_scenery(f, L) for f in group]
+            for a, b in zip(cell_laws, vertex_laws):
+                _same_fields(a, b)
+
+
+@pytest.mark.parametrize("n, L", [(2, 7), (2, 8), (4, 3), (4, 7), (4, 8), (8, 11)])
+def test_level_set_dp_holds_a_whole_cell(n, L):
+    # A constant's one cell collects all 2**n * n**L walks, and the parity's
+    # cells 2**(n - 1) * n**L each: past n**L, so a state sized by n**L
+    # alone would wrap at (2, 7), (4, 3) and (4, 7).
+    plus, minus = (1,) * (L + 1), (-1,) * (L + 1)
+    alternating = tuple((-1) ** i for i in range(L + 1))
+    flipped = tuple(-a for a in alternating)
+    half = Fraction(1, 2)
+    cases = [
+        (cs.TruthTable.constant(n, 1), {plus: 1}),
+        (cs.TruthTable.constant(n, -1), {minus: 1}),
+        (cs.TruthTable.character(n, (1 << n) - 1), {alternating: half, flipped: half}),
+    ]
+    for f, expected in cases:
+        # One table a batch: at (8, 11) one fills the cell ceiling.
+        (law,) = _exact_sceneries([f], L)
+        one = cs.exact_scenery(f, L)
+        assert one.probs == expected
+        _same_fields(one, law)
 
 
 def test_batched_dp_gives_each_table_its_own_law(kfn):

@@ -3,6 +3,7 @@ from math import comb, isqrt
 import pytest
 
 import cubestable as cs
+from cubestable import sos
 from cubestable.errors import BudgetExceeded, PreconditionViolated
 from cubestable.sos import BoundsReport, _bounds_reports, _floor_surd_power
 
@@ -50,6 +51,26 @@ def test_budgets():
         cs.sos_count(10**4000, 10**400)
     with pytest.raises(BudgetExceeded):
         cs.sos_bruteforce(100, 30)
+
+
+def test_negative_memo_limit_is_refused(monkeypatch):
+    # Refused before any column, by every entry point, as a bad argument
+    # rather than as a budget q*t exceeds.
+    monkeypatch.setattr(sos, "comb", None)
+    for call in (
+        lambda m: cs.sos_count(4, 3, memo_limit=m),
+        lambda m: cs.check_bounds(4, 4, memo_limit=m),
+        lambda m: cs.f_upper_bound(4, 2, memo_limit=m),
+    ):
+        for limit in (-1, -10**6):
+            with pytest.raises(ValueError, match="memo limit") as info:
+                call(limit)
+            assert not isinstance(info.value, BudgetExceeded)
+    monkeypatch.undo()
+    # A limit of 0 keeps its meaning: only q*t = 0 fits.
+    assert cs.sos_count(0, 5, memo_limit=0).count == 1
+    with pytest.raises(BudgetExceeded):
+        cs.sos_count(4, 3, memo_limit=0)
 
 
 def test_floor_surd_power():
