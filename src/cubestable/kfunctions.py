@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -200,10 +200,15 @@ def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
         yield TruthTable(n, bits)
 
 
-@lru_cache(maxsize=None)
 def _level_masks(n: int, k: int) -> tuple[int, ...]:
     """Level-k subset masks in lexicographic order of their index tuples."""
     return tuple(sum(1 << j for j in c) for c in combinations(range(n), k))
+
+
+#: Most entries (rows times width) of solution rows the spectral search
+#: keeps for one finished subtree.  A larger subtree keeps its node count
+#: only, and is walked again over its recorded children.
+_SUBTREE_ENTRIES = 1 << 16
 
 
 def enumerate_spectral(
@@ -218,9 +223,18 @@ def enumerate_spectral(
     integer solution is kept iff it inverts to a +/-1-valued table.  Output
     order is the deterministic search order, independent of budget.
 
+    A subtree of the search depends only on its state (masks left,
+    residual).  The first time a subtree is finished, its node count is
+    recorded under that state, with its solution rows if they hold at most
+    ``_SUBTREE_ENTRIES`` entries; a later visit to the state charges the
+    count against the budget and takes the rows without walking it again.
+    A residual of 0 leaves one chain of zeros, counted without a walk.  The
+    records live for one call only.
+
+    The budget counts nodes (assignments) as if every subtree were walked.
     Raises :class:`SearchBudgetExceeded` once more than ``node_budget``
-    assignments have been tried, after yielding every function found
-    before that point.  n is checked before k, and a negative
+    nodes have been tried, after yielding every function whose last node
+    is within the budget.  n is checked before k, and a negative
     ``node_budget`` is a ValueError; all three before any search.
     """
     _check_dimension(n)
@@ -233,43 +247,68 @@ def enumerate_spectral(
 
 
 def _spectral_hits(n: int, k: int, node_budget: int) -> Iterator[TruthTable]:
-    masks = list(_level_masks(n, k))
-    depth = len(masks)
-    xs = [0] * depth  # the integer x_S of each level-k mask, in mask order
-    nodes = 0
+    depth = comb(n, k)
+    # The narrowest signed dtypes that hold -bound - 1, so +/-bound: each x_S
+    # for the rows, and _butterfly's 2**(2n) for the inversion.
+    row_dtype = np.min_scalar_type(-1 - (1 << (k - 1)))
+    val_dtype = np.min_scalar_type(-1 - (1 << (2 * n)))
+    # (idx, residual) -> (node count, solution rows or None) of a finished
+    # subtree; a row holds the x_S of masks idx.. in mask order.
+    memo: dict[tuple[int, int], tuple[int, np.ndarray | None]] = {}
+    no_rows = np.zeros((0, 0), row_dtype)
+    zero_row = np.zeros((1, 1), row_dtype)  # broadcast over any width
 
-    def visit(x: int, idx: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"spectral search for (n={n}, k={k}) exceeded {node_budget} nodes"
-            )
-        xs[idx] = x
+    def children(r: int) -> list[int]:
+        """The values tried at a node with residual r, in search order."""
+        return [x for mag in range(isqrt(r), 0, -1) for x in (mag, -mag)] + [0]
 
-    def solutions(idx: int, residual: int) -> Iterator[tuple[int, ...]]:
-        if idx == depth:
-            if residual == 0:
-                yield tuple(xs)
+    def finished(idx: int, r: int) -> tuple[int, np.ndarray | None] | None:
+        """The subtree at (idx, r), if known without a walk."""
+        width = depth - idx
+        if r == 0:  # one chain of zeros, its solution at the end
+            return width, zero_row
+        top = isqrt(r)
+        # Dead: even all-maximal squares cannot reach the residual.
+        if top * top * width < r:
+            return 0, no_rows
+        return memo.get((idx, r))
+
+    def record(idx: int, r: int) -> None:
+        """Record the subtree at (idx, r), whose children are all known."""
+        count, parts, total, over = 0, [], 0, False
+        for x in children(r):
+            size, rows = finished(idx + 1, r - x * x)
+            count += 1 + size
+            if rows is None:
+                over = True
+            elif len(rows):
+                parts.append((x, rows))
+                total += len(rows)
+        if over or total * (depth - idx) > _SUBTREE_ENTRIES:
+            memo[idx, r] = count, None
             return
-        top = isqrt(residual)
-        # Dead branch: even all-maximal squares cannot reach the residual.
-        if top * top * (depth - idx) < residual:
-            return
-        for mag in range(top, 0, -1):
-            for x in (mag, -mag):
-                visit(x, idx)
-                yield from solutions(idx + 1, residual - mag * mag)
-        visit(0, idx)
-        yield from solutions(idx + 1, residual)
+        out = np.empty((total, depth - idx), row_dtype)
+        i = 0
+        for x, rows in parts:
+            out[i : i + len(rows), 0] = x
+            out[i : i + len(rows), 1:] = rows
+            i += len(rows)
+        memo[idx, r] = count, out
 
-    def invert(found: list[tuple[int, ...]]) -> Iterator[TruthTable]:
+    masks: list[int] = []
+
+    def invert(found: np.ndarray) -> Iterator[TruthTable]:
         """The solutions that are +/-1 tables, in order, by one butterfly."""
-        if not found:
+        # f(0) = sum of x_S / 2**(k-1) must be +/-1: a cheap first filter.
+        found = found[np.abs(found.sum(axis=1, dtype=np.int64)) == 1 << (k - 1)]
+        if not len(found):
             return
-        vals = np.zeros((len(found), 1 << n), dtype=np.int64)
+        if not masks:
+            masks.extend(_level_masks(n, k))
+        vals = np.zeros((len(found), 1 << n), dtype=val_dtype)
+        vals[:, masks] = found
         # packed coeff = x * 2**(n-k+1), at most 2**n in absolute value.
-        vals[:, masks] = np.array(found) << (n - k + 1)
+        vals <<= n - k + 1
         _butterfly(vals)
         # The butterfly applied twice multiplies by 2**n.
         for i in np.flatnonzero((np.abs(vals) == (1 << n)).all(axis=1)):
@@ -278,17 +317,60 @@ def _spectral_hits(n: int, k: int, node_budget: int) -> Iterator[TruthTable]:
     # Solutions are inverted a batch of about 2**17 coefficients at a time;
     # the batch found before the budget ran out is inverted before the error.
     batch = max(1, (1 << 17) >> n)
-    pending: list[tuple[int, ...]] = []
-    try:
-        for solution in solutions(0, 4 ** (k - 1)):
-            pending.append(solution)
-            if len(pending) == batch:
-                yield from invert(pending)
-                pending = []
-    except SearchBudgetExceeded:
-        yield from invert(pending)
-        raise
-    yield from invert(pending)
+    buf: np.ndarray | None = None  # the solutions of the batch so far
+    fill = 0
+    nodes = 0
+    # The states being walked, as (residual, recorded before, values left);
+    # state i is in its child prefix[i].
+    stack: list[tuple[int, bool, Iterator[int]]] = []
+    prefix: list[int] = []
+    r = 4 ** (k - 1)
+    while True:
+        # Enter the state (idx, r) below the values in prefix.
+        idx = len(stack)
+        known = finished(idx, r)
+        if known is not None and known[1] is not None and nodes + known[0] <= node_budget:
+            nodes += known[0]
+            rows = known[1]
+        elif r == 0:  # the chain's one solution lies past the budget
+            nodes = node_budget + 1
+            break
+        else:
+            stack.append((r, known is not None, iter(children(r))))
+            prefix.append(0)
+            rows = no_rows
+        done = 0
+        while done < len(rows):
+            if buf is None:
+                buf = np.empty((batch, depth), row_dtype)
+            part = rows[done : done + batch - fill]
+            buf[fill : fill + len(part), :idx] = prefix
+            buf[fill : fill + len(part), idx:] = part
+            fill += len(part)
+            done += len(part)
+            if fill == batch:
+                yield from invert(buf)
+                fill = 0
+        # Move to the next node: the next child of the deepest state with
+        # one left, recording each state finished on the way up.
+        while stack and (x := next(stack[-1][2], None)) is None:
+            r, recorded, _ = stack.pop()
+            prefix.pop()
+            if not recorded:
+                record(len(stack), r)
+        if not stack:
+            break
+        prefix[-1] = x
+        nodes += 1
+        if nodes > node_budget:
+            break
+        r = stack[-1][0] - x * x
+    if fill:
+        yield from invert(buf[:fill])
+    if nodes > node_budget:
+        raise SearchBudgetExceeded(
+            f"spectral search for (n={n}, k={k}) exceeded {node_budget} nodes"
+        )
 
 
 @dataclass(frozen=True)

@@ -438,6 +438,21 @@ def test_budget_exit_codes(capsys, tmp_path, two_function_q4):
     assert code == 3
 
 
+def test_spectral_search_deeper_than_the_recursion_limit(capsys):
+    # C(14, 7) = 3432 masks, more than Python's default recursion limit:
+    # the search prints the one parity within its budget, then exits 3.
+    code, out, err = run(
+        capsys,
+        ["enumerate", "--n", "14", "--k", "7", "--method", "spectral",
+         "--budget-nodes", "5000", "--emit", "jsonl"],
+    )
+    assert code == 3
+    assert json.loads(err)["error"] == "SearchBudgetExceeded"
+    (line,) = out.splitlines()
+    parity = cs.TruthTable.character(14, 0b1111111)
+    assert serialize.function_from_json(json.loads(line)) == parity
+
+
 def test_input_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["enumerate", "--n", "9", "--k", "1"])
     assert code == 2

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cubestable.errors import (
     SearchBudgetExceeded,
     ZeroDimension,
 )
+from cubestable.core import _butterfly, _pack
 from cubestable.kfunctions import count_table_csv
 from cubestable.verify import _Context, run_criterion
 
@@ -248,6 +251,128 @@ def test_spectral_budget_stop_yields_a_prefix():
     assert len(prefixes) > 2  # the budget stops the search at many depths
 
 
+def reference_spectral(n, k, node_budget):
+    """The recursive level-k search the memoised one replaced, kept as its
+    reference: the hits (+/-1 tables) with the node each was found at, and
+    the nodes the whole search took, or None if the budget ran out.
+    Python's recursion limit caps its depth.
+    """
+    masks = [sum(1 << j for j in c) for c in combinations(range(n), k)]
+    depth = len(masks)
+    xs = [0] * depth
+    nodes = 0
+
+    def visit(x, idx):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded
+        xs[idx] = x
+
+    def solutions(idx, residual):
+        if idx == depth:
+            if residual == 0:
+                yield nodes, tuple(xs)
+            return
+        top = isqrt(residual)
+        if top * top * (depth - idx) < residual:
+            return
+        for mag in range(top, 0, -1):
+            for x in (mag, -mag):
+                visit(x, idx)
+                yield from solutions(idx + 1, residual - mag * mag)
+        visit(0, idx)
+        yield from solutions(idx + 1, residual)
+
+    found = []
+    try:
+        found.extend(solutions(0, 4 ** (k - 1)))
+        total = nodes
+    except SearchBudgetExceeded:
+        total = None
+    vals = np.zeros((len(found), 1 << n), dtype=np.int64)
+    vals[:, masks] = np.array([x for _, x in found]).reshape(len(found), depth)
+    vals <<= n - k + 1
+    _butterfly(vals)
+    hits = [
+        (found[i][0], cs.TruthTable(n, _pack(vals[i] < 0)).bits)
+        for i in np.flatnonzero((np.abs(vals) == (1 << n)).all(axis=1))
+    ]
+    return hits, total
+
+
+def spectral_run(n, k, node_budget):
+    """The bits enumerate_spectral yields under the budget, and whether it
+    ran out."""
+    got = []
+    try:
+        for f in cs.enumerate_spectral(n, k, node_budget=node_budget):
+            got.append(f.bits)
+    except SearchBudgetExceeded:
+        return got, True
+    return got, False
+
+
+def test_reference_spectral_budget_reading():
+    # The expectations below read one 20,000-node reference run at smaller
+    # budgets; that reading agrees with running the reference at each.
+    for n, k in [(4, 2), (5, 2), (5, 3)]:
+        hits, total = reference_spectral(n, k, 20_000)
+        for budget in (0, 1, 37, 300, 3001):
+            short, short_total = reference_spectral(n, k, budget)
+            assert short == [(at, b) for at, b in hits if at <= budget]
+            assert (short_total is None) == (total is None or budget < total)
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_spectral_search_matches_the_recursive_reference(monkeypatch, cap):
+    # The memoised search yields the reference's hits, in order, and stops
+    # at the same budgets: a hit counts once its last node is within the
+    # budget, so the budgets around a hit's node are the sharp ones.  Cap 0
+    # keeps no rows, so every subtree with a solution is walked again over
+    # its recorded children.
+    if cap is not None:
+        monkeypatch.setattr(kfunctions, "_SUBTREE_ENTRIES", cap)
+    cells = [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+    for n, k in cells + [(6, 1), (6, 2), (6, 3)]:
+        hits, total = reference_spectral(n, k, 20_000)
+        # Every hit of a cell with at most 16, else 16 spread evenly over
+        # them, first and last included: the full set costs seconds.
+        spread = [hits[i * (len(hits) - 1) // 15] for i in range(16)]
+        budgets = {*range(301), 20_000}
+        budgets.update(at + d for at, _ in (hits if len(hits) <= 16 else spread) for d in (-1, 0, 1))
+        for budget in sorted(budgets):
+            want = [b for at, b in hits if at <= budget]
+            stopped = total is None or budget < total
+            assert spectral_run(n, k, budget) == (want, stopped), (n, k, budget)
+
+
+def test_spectral_holds_x_beyond_int8():
+    # At k = 8 the one coefficient is x = +/-128, past int8.
+    for n in (7, 8):
+        parity = cs.TruthTable.character(n, (1 << n) - 1)
+        negated = cs.TruthTable(n, parity.bits ^ ((1 << (1 << n)) - 1))
+        assert list(cs.enumerate_spectral(n, n)) == [parity, negated]
+
+
+def test_spectral_search_is_not_bounded_by_recursion():
+    # C(14, 7) = 3432 masks: the first path is one +64 and a chain of
+    # zeros, the parity of x1..x7, found at node 3432; the second needs
+    # 6864 nodes.
+    got = []
+    with pytest.raises(SearchBudgetExceeded):
+        got.extend(cs.enumerate_spectral(14, 7, node_budget=5000))
+    assert got == [cs.TruthTable.character(14, 0b1111111)]
+
+
+def test_spectral_budget_stops_before_building_masks(monkeypatch):
+    # C(24, 12) = 2,704,156 masks; the first node spends the budget, so no
+    # mask may be built.
+    monkeypatch.setattr(kfunctions, "_level_masks", unreachable)
+    with pytest.raises(SearchBudgetExceeded):
+        list(cs.enumerate_spectral(24, 12, node_budget=1))
+
+
 def test_spectral_deterministic_order():
     a = [f.bits for f in cs.enumerate_spectral(4, 2)]
     b = [f.bits for f in cs.enumerate_spectral(4, 2)]
@@ -302,15 +427,15 @@ def test_count_table_n5_matches_golden():
 
 
 def test_vertex_search_matches_spectral_search_at_n5():
-    # Two independent routes to the same sets; levels 3 and 4 are reached
-    # by complementing the spectral search's levels 2 and 1.
+    # Two independent routes to the same sets at every level; levels 3 and
+    # 4 are also the complements of the spectral search's levels 2 and 1.
     for k in range(1, 5):
-        spectral = {f.bits for f in cs.enumerate_spectral(5, min(k, 5 - k))}
-        if k > 2:
-            spectral = {
+        spectral = {f.bits for f in cs.enumerate_spectral(5, k)}
+        assert set(kfunctions._vertex_search(5, k)) == spectral
+        if k < 3:
+            assert set(kfunctions._vertex_search(5, 5 - k)) == {
                 cs.complement(cs.TruthTable(5, bits)).bits for bits in spectral
             }
-        assert set(kfunctions._vertex_search(5, k)) == spectral
 
 
 def test_count_table_n6_matches_golden():
