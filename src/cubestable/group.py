@@ -136,11 +136,12 @@ def _permutation_tables(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return sigmas, np.array([_permute_mask(s, vertices) for s in sigmas], np.uint8)
 
 
-#: Gather entries per block of canonical_form: n <= 6 is one block, n = 7
-#: twenty blocks of 256 permutations.  A live block holds about 1.1 bytes
-#: per entry (the gathered values and their packed keys): one n = 7 call in
-#: a fresh process peaks at 41 MB RSS, 12 MB above the imported package.
-#: 2**24 entries peaked at 70 MB and ran no faster.
+#: Image entries (2**(2n) per permutation) per block of canonical_form:
+#: n <= 6 is one block, n = 7 twenty blocks of 256 permutations.  A live
+#: n = 7 block holds 1 MB each of weights, product and keys: one n = 7 call
+#: in a fresh process peaks at 39 MB RSS, 9 MB above the imported package.
+#: Blocks of 2**17 to 2**24 entries took 95 down to 25 ms at n = 7, the
+#: least at 2**22; unblocked, one call peaked at 112 MB.
 _CANONICAL_BLOCK = 1 << 22
 
 
@@ -151,23 +152,71 @@ def _check_canonical_n(n: int) -> None:
         )
 
 
-def _normalised_gather(vals: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Row [alpha, s]: f (a 0/1 array) read through phi(v) = perm[s, v] ^ alpha,
-    negated where f(alpha) = -1 so that it starts with +1.  Over all of S_n,
-    these rows and their complements are f's orbit."""
-    vertices = np.arange(len(vals), dtype=np.uint8)
-    # Row alpha of shifted is f(. ^ alpha) with that sign.
-    shifted = vals[vertices[:, None] ^ vertices] ^ vals[:, None]
-    return np.take(shifted, perm, axis=1)
+def _image_weights(perm: np.ndarray, big_endian: bool) -> np.ndarray:
+    """The matrix that packs images, built from permutation rows by one
+    scatter.
+
+    Vertices fall in chunks of min(32, 2**n).  Row c * len(perm) + s holds,
+    in column u, 2**p for the v in chunk c that perm[s] maps to u, where p
+    is v's place in its chunk: counted from the chunk's top bit when
+    big-endian, so vertex 0 is the most significant bit, and from its
+    bottom bit when little-endian, as in packed tables.
+    """
+    count, size = perm.shape
+    width = min(32, size)
+    vertices = np.arange(size)
+    place = vertices % width
+    weights = np.zeros((size // width * count, size))
+    scatter = (vertices // width * count + np.arange(count)[:, None]) * size + perm
+    weights.ravel()[scatter] = np.exp2(width - 1 - place if big_endian else place)
+    return weights
+
+
+@lru_cache(maxsize=16)
+def _group_weights(n: int, big_endian: bool) -> np.ndarray:
+    """:func:`_image_weights` over all of S_n, kept like the permutation
+    tables (n <= 6): 30 KB at n = 5 and 0.7 MB at n = 6."""
+    weights = _image_weights(_permutation_tables(n)[1], big_endian)
+    weights.flags.writeable = False
+    return weights
+
+
+def _packed_images(vals: np.ndarray, weights: np.ndarray, big_endian: bool) -> np.ndarray:
+    """Entry [w, s * 2**n + alpha]: word w of f (a 0/1 array) read through
+    phi(v) = perm[s, v] ^ alpha, negated where f(alpha) = -1 so that it
+    starts with +1, where weights were built from the rows perm.  Over all
+    of S_n, these images and their complements are f's orbit.
+
+    Words hold 64 vertices (all 2**n when n < 6).  Little-endian words
+    hold vertex v at bit v mod 64, as packed tables do.  Big-endian words
+    hold their first vertex in their top bit, so they order images as
+    value sequences.
+    """
+    size = len(vals)
+    vertices = np.arange(size)
+    # Column alpha of shifted is f(. ^ alpha) with that sign.
+    shifted = (vals[vertices[:, None] ^ vertices] ^ vals).astype(np.float64)
+    # Each entry of the product sums distinct powers of two below 2**32, so
+    # every partial sum is an integer below 2**53: exact in float64 in any
+    # order of summation.
+    chunks = (weights @ shifted).astype(np.uint64)
+    chunks = chunks.reshape(size // min(32, size), -1)
+    if len(chunks) == 1:
+        return chunks
+    high, low = (chunks[0::2], chunks[1::2]) if big_endian else (chunks[1::2], chunks[0::2])
+    high <<= 32
+    high |= low
+    return high
 
 
 def _orbit(f: TruthTable) -> np.ndarray:
-    """Every table in f's orbit, packed as uint64, repeats included (n <= 6)."""
-    gathered = _normalised_gather(_unpack(f.bits, f.n), _permutation_tables(f.n)[1])
-    # Byte i of a packed row holds vertices 8i..8i+7.
-    rows = np.packbits(gathered, axis=-1, bitorder="little").astype(np.uint64)
-    images = (rows << np.arange(0, 8 * rows.shape[-1], 8, dtype=np.uint64)).sum(-1)
-    return np.concatenate([images.ravel(), images.ravel() ^ ((1 << (1 << f.n)) - 1)])
+    """Every table in f's orbit, packed as uint64, repeats included (n <= 6).
+
+    One product, as in :func:`canonical_form`, with little-endian words:
+    0.03 ms at n = 5 and 1.5-1.8 ms at n = 6 (2-core Xeon, weights cached).
+    """
+    images = _packed_images(_unpack(f.bits, f.n), _group_weights(f.n, False), False)[0]
+    return np.concatenate([images, images ^ ((1 << (1 << f.n)) - 1)])
 
 
 def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
@@ -180,14 +229,14 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     reaches it, and ``apply(witness, f) == representative`` is re-checked
     before returning.
 
-    Brute force over the whole group: one gather of f through all 2**n n!
-    vertex maps (each translate of f read through each coordinate
-    permutation), then one lexicographic minimum over the packed value
-    sequences.  One random table takes 0.2-0.4 ms at n = 5, 3-6 ms at
-    n = 6 and 0.13-0.15 s at n = :data:`MAX_CANONICAL_N` (2-core Xeon,
-    after the permutation tables are cached; building them at n = 7 takes
-    0.1 s once), so no budget is needed.  Refused beyond
-    n = :data:`MAX_CANONICAL_N`.
+    Brute force over the whole group: one matrix product packs f read
+    through all 2**n n! vertex maps (each translate of f read through each
+    coordinate permutation) into big-endian keys, then one minimum over
+    the keys.  One random table takes 0.05-0.09 ms at n = 5, 0.8-1.4 ms at
+    n = 6 and 0.026-0.030 s at n = :data:`MAX_CANONICAL_N` (2-core Xeon,
+    after the permutation tables, and at n <= 6 the weights, are cached;
+    building them at n = 7 takes 0.1 s once), so no budget is needed.
+    Refused beyond n = :data:`MAX_CANONICAL_N`.
     """
     n = f.n
     _check_canonical_n(n)
@@ -195,30 +244,31 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
     vals = _unpack(f.bits, n)
     sigmas, perm = _permutation_tables(n)
     step = max(1, _CANONICAL_BLOCK >> (2 * n))
-    best_key, best_row = b"", 0
+    best_key: tuple[int, ...] = ()
+    best_row = 0
     for start in range(0, len(sigmas), step):
         # A sequence and its complement differ at vertex 0, so only the
-        # gathered one, which starts with +1, can be least.  Packed
-        # big-endian, vertex 0 is the first bit, so byte-wise order of keys
-        # is lexicographic order of sequences; transposed, rows run in
-        # group order.
-        gathered = _normalised_gather(vals, perm[start : start + step])
-        keys = np.packbits(gathered, axis=-1, bitorder="big").transpose(1, 0, 2)
-        keys = keys.reshape(-1, (size + 7) // 8)
-        rows = np.arange(len(keys))
-        for column in keys.T:
-            values = column[rows]
-            rows = rows[values == values.min()]
-        key = keys[rows[0]].tobytes()
-        # Strict <, like the first-minimum filter above: ties keep the
-        # earlier block.
+        # packed one, which starts with +1, can be least.  Rows run in group
+        # order, so argmin finds the first least key.
+        if step >= len(sigmas):  # one block: the cached whole-group weights
+            weights = _group_weights(n, True)
+        else:
+            weights = _image_weights(perm[start : start + step], True)
+        keys = _packed_images(vals, weights, True)
+        if len(keys) == 1:
+            row = int(keys[0].argmin())
+        else:  # n = 7: two words, compared in turn
+            ties = np.flatnonzero(keys[0] == keys[0].min())
+            row = int(ties[keys[1, ties].argmin()])
+        key = tuple(int(word) for word in keys[:, row])
+        # Strict <, like argmin: ties keep the earlier block.
         if not best_key or key < best_key:
-            best_key, best_row = key, start * size + int(rows[0])
+            best_key, best_row = key, start * size + row
     sigma_index, alpha = divmod(best_row, size)
     epsilon = -1 if vals[alpha] else 1
     witness = SignedAutomorphism(n, epsilon, alpha, sigmas[sigma_index])
-    best = np.frombuffer(best_key, np.uint8)
-    rep = TruthTable(n, _pack(np.unpackbits(best, count=size, bitorder="big")))
+    sequence = "".join(f"{word:0{min(64, size)}b}" for word in best_key)
+    rep = TruthTable(n, int(sequence[::-1], 2))
     if apply(witness, f) != rep:
         raise AssertionError("canonical witness failed re-verification")
     return rep, witness

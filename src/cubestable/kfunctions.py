@@ -200,9 +200,10 @@ def enumerate_truth_tables(n: int, k: int) -> Iterator[TruthTable]:
         yield TruthTable(n, bits)
 
 
-def _level_masks(n: int, k: int) -> tuple[int, ...]:
+def _level_masks(n: int, k: int) -> np.ndarray:
     """Level-k subset masks in lexicographic order of their index tuples."""
-    return tuple(sum(1 << j for j in c) for c in combinations(range(n), k))
+    powers = [1 << j for j in range(n)]
+    return np.fromiter(map(sum, combinations(powers, k)), np.intp, comb(n, k))
 
 
 #: Most entries (rows times width) of solution rows the spectral search
@@ -295,23 +296,25 @@ def _spectral_hits(n: int, k: int, node_budget: int) -> Iterator[TruthTable]:
             i += len(rows)
         memo[idx, r] = count, out
 
-    masks: list[int] = []
+    masks: np.ndarray | None = None
 
     def invert(found: np.ndarray) -> Iterator[TruthTable]:
         """The solutions that are +/-1 tables, in order, by one butterfly."""
+        nonlocal masks
         # f(0) = sum of x_S / 2**(k-1) must be +/-1: a cheap first filter.
         found = found[np.abs(found.sum(axis=1, dtype=np.int64)) == 1 << (k - 1)]
         if not len(found):
             return
-        if not masks:
-            masks.extend(_level_masks(n, k))
+        if masks is None:
+            masks = _level_masks(n, k)
         vals = np.zeros((len(found), 1 << n), dtype=val_dtype)
         vals[:, masks] = found
         # packed coeff = x * 2**(n-k+1), at most 2**n in absolute value.
         vals <<= n - k + 1
         _butterfly(vals)
         # The butterfly applied twice multiplies by 2**n.
-        for i in np.flatnonzero((np.abs(vals) == (1 << n)).all(axis=1)):
+        top = 1 << n
+        for i in np.flatnonzero(((vals == top) | (vals == -top)).all(axis=1)):
             yield TruthTable(n, _pack(vals[i] < 0))
 
     # Solutions are inverted a batch of about 2**17 coefficients at a time;

@@ -9,7 +9,13 @@ import cubestable as cs
 from cubestable import kfunctions
 from cubestable.core import _pack, _unpack
 from cubestable.errors import DimensionMismatch, DimensionTooLarge, ShrinkNotAllowed
-from cubestable.group import _permute_mask
+from cubestable.group import (
+    _image_weights,
+    _orbit,
+    _packed_images,
+    _permutation_tables,
+    _permute_mask,
+)
 
 
 def random_element(rng: random.Random, n: int) -> cs.SignedAutomorphism:
@@ -210,6 +216,47 @@ def test_canonical_form_blocks_keep_the_first_minimiser(monkeypatch, kfn):
         assert cs.canonical_form(f) == loop_canonical_form(f), f
 
 
+def reference_words(g: cs.TruthTable, perm: np.ndarray, big_endian: bool) -> np.ndarray:
+    """_packed_images from Python ints: column s * 2**n + alpha holds the
+    words of g read through perm[s] ^ alpha and normalised to start +1."""
+    size = 1 << g.n
+    vals = _unpack(g.bits, g.n).tolist()
+    out = []
+    for p in perm.tolist():
+        for alpha in range(size):
+            bits = "".join(str(vals[u ^ alpha] ^ vals[alpha]) for u in p)
+            words = [bits[i : i + 64] for i in range(0, size, 64)]
+            out.append([int(w if big_endian else w[::-1], 2) for w in words])
+    return np.array(out, dtype=np.uint64).T
+
+
+def test_canonical_form_exact_at_the_word_boundary():
+    # f(0) = +1 and every other vertex -1: images starting +1, -1, ... set
+    # every bit of a chunk but its first, so the product's sums reach
+    # 2**31 - 1 and 2**32 - 1 in its chunks and 2**63 - 1 and 2**64 - 1 in
+    # merged words.  The least key has one bit set, so the packed images
+    # and the orbit are checked beside the canonical forms.
+    for n in (5, 6, 7):
+        size = 1 << n
+        full = (1 << size) - 1
+        f = cs.TruthTable(n, full ^ 1)
+        tables = [f, cs.TruthTable(n, 1)]
+        for alpha in (1, size - 1):
+            tables.append(cs.apply(cs.SignedAutomorphism(n, 1, alpha, tuple(range(n))), f))
+        perm = _permutation_tables(n)[1][:4]
+        for g in tables:
+            assert cs.canonical_form(g) == loop_canonical_form(g), g
+            for big_endian in (True, False):
+                got = _packed_images(
+                    _unpack(g.bits, n), _image_weights(perm, big_endian), big_endian
+                )
+                assert (got == reference_words(g, perm, big_endian)).all(), g
+        if n <= 6:
+            # The orbit: every table with exactly one -1 or exactly one +1.
+            ones = {1 << v for v in range(size)}
+            assert set(_orbit(f).tolist()) == ones | {full ^ b for b in ones}
+
+
 def test_canonical_dimension_ceiling():
     with pytest.raises(DimensionTooLarge):
         cs.canonical_form(cs.TruthTable.constant(8, 1))
@@ -268,6 +315,18 @@ def test_apply_preserves_k_functions(kfn):
                 assert cs.uniform_flip_count(g) == k
 
 
+def test_orbit_lists_every_image_under_the_group(kfn):
+    rng = random.Random(17)
+    for n in range(5):
+        tables = [f for k in range(n + 1) for f in kfn(n, k)[:6]]
+        tables += [cs.TruthTable(n, rng.getrandbits(1 << n)) for _ in range(4)]
+        for f in tables:
+            orbit = _orbit(f)
+            assert len(orbit) == cs.group_order(n)
+            images = sorted(cs.apply(a, f).bits for a in cs.group_elements(n))
+            assert sorted(orbit.tolist()) == images, f
+
+
 def test_orbit_stabilizer_on_k_function_classes(kfn):
     for n in range(1, 5):
         order = cs.group_order(n)
@@ -282,9 +341,9 @@ def test_orbit_stabilizer_on_k_function_classes(kfn):
 
 def test_orbit_classes_give_g_at_n5():
     # Multiplying by the parity x1...x5 maps the k-functions onto the
-    # (5 - k)-functions and classes onto classes; k = 3 is reached that way,
-    # since the spectral search takes seconds there.  Unlike count_table,
-    # this route needs no vertex search.
+    # (5 - k)-functions and classes onto classes, so k = 3, 4 and 5 are
+    # reached that way from k = 2, 1 and 0.  Unlike count_table, this route
+    # needs no vertex search.
     parity = cs.TruthTable.character(5, 0b11111).bits
     counts = {}
     for k in (0, 1, 2):
