@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from .core import MAX_VAR_INDEX
-from .errors import IndexOverflow
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -36,17 +33,3 @@ def parallel_map(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
-
-def indices_from_mask(mask: int) -> list[int]:
-    """1-based variable indices present in a bit mask, ascending."""
-    return [j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1]
-
-
-def mask_from_indices(indices: Iterable[int]) -> int:
-    """The bit mask of 1-based variable indices; each must lie in 1..64."""
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= MAX_VAR_INDEX:
-            raise IndexOverflow(f"variable index {i} outside 1..{MAX_VAR_INDEX}")
-        mask |= 1 << (i - 1)
-    return mask

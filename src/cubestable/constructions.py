@@ -17,11 +17,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._util import indices_from_mask, mask_from_indices
 from .core import (
     MAX_DENSE_N,
     SparsePolynomial,
     TruthTable,
+    indices_from_mask,
+    mask_from_indices,
     sparse_from_truth_table,
 )
 from .errors import (

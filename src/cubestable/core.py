@@ -18,7 +18,9 @@ Conventions, used consistently across the whole package:
   dyadic rational ``num / 2**log2_den`` keyed by its mask.  Masks may use
   variable indices up to 64, independent of any ambient n.
 
-Everything is integer or Fraction arithmetic; no floats anywhere.
+Values at the API are integers and Fractions.  The one float computation,
+the matrix product that packs group images in :mod:`.group`, holds only
+integers below 2**53, where float64 is exact.
 
 All three classes are immutable after construction (private caches on
 TruthTable and SparsePolynomial are filled in lazily but never change an
@@ -49,6 +51,21 @@ MAX_DENSE_N = 26
 
 #: Largest 1-based variable index a sparse polynomial may mention.
 MAX_VAR_INDEX = 64
+
+
+def indices_from_mask(mask: int) -> list[int]:
+    """1-based variable indices present in a bit mask, ascending."""
+    return [j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1]
+
+
+def mask_from_indices(indices: Iterable[int]) -> int:
+    """The bit mask of 1-based variable indices; each must lie in 1..64."""
+    mask = 0
+    for i in indices:
+        if not 1 <= i <= MAX_VAR_INDEX:
+            raise IndexOverflow(f"variable index {i} outside 1..{MAX_VAR_INDEX}")
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def _check_dimension(n: int) -> None:
@@ -672,7 +689,7 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
         union = obj.relevant_mask()
     else:
         raise TypeError(f"expected Spectrum or SparsePolynomial, got {type(obj)!r}")
-    return frozenset(i + 1 for i in range(union.bit_length()) if (union >> i) & 1)
+    return frozenset(indices_from_mask(union))
 
 
 #: Most uint64 words that :func:`_sparse_numerators` holds in its parity
@@ -771,8 +788,7 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
     form = p._integer_form()
     missing = form.relevant & ~given
     if missing:
-        names = [i + 1 for i in range(missing.bit_length()) if (missing >> i) & 1]
-        raise MissingVariable(f"no value given for x_{names}")
+        raise MissingVariable(f"no value given for x_{indices_from_mask(missing)}")
     total = _sparse_numerators(p, np.array([neg], dtype=np.uint64))[0]
     return Fraction(total, 1 << form.top)
 

@@ -152,50 +152,50 @@ def _check_canonical_n(n: int) -> None:
         )
 
 
-def _image_weights(perm: np.ndarray, big_endian: bool) -> np.ndarray:
+def _image_weights(perm: np.ndarray) -> np.ndarray:
     """The matrix that packs images, built from permutation rows by one
     scatter.
 
     Vertices fall in chunks of min(32, 2**n).  Row c * len(perm) + s holds,
-    in column u, 2**p for the v in chunk c that perm[s] maps to u, where p
-    is v's place in its chunk: counted from the chunk's top bit when
-    big-endian, so vertex 0 is the most significant bit, and from its
-    bottom bit when little-endian, as in packed tables.
+    in column u, 2**(v mod 32) for the v in chunk c that perm[s] maps to u.
     """
     count, size = perm.shape
     width = min(32, size)
     vertices = np.arange(size)
-    place = vertices % width
     weights = np.zeros((size // width * count, size))
     scatter = (vertices // width * count + np.arange(count)[:, None]) * size + perm
-    weights.ravel()[scatter] = np.exp2(width - 1 - place if big_endian else place)
+    weights.ravel()[scatter] = np.exp2(vertices % width)
     return weights
 
 
-@lru_cache(maxsize=16)
-def _group_weights(n: int, big_endian: bool) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _group_weights(n: int) -> np.ndarray:
     """:func:`_image_weights` over all of S_n, kept like the permutation
     tables (n <= 6): 30 KB at n = 5 and 0.7 MB at n = 6."""
-    weights = _image_weights(_permutation_tables(n)[1], big_endian)
+    weights = _image_weights(_permutation_tables(n)[1])
     weights.flags.writeable = False
     return weights
 
 
-def _packed_images(vals: np.ndarray, weights: np.ndarray, big_endian: bool) -> np.ndarray:
-    """Entry [w, s * 2**n + alpha]: word w of f (a 0/1 array) read through
-    phi(v) = perm[s, v] ^ alpha, negated where f(alpha) = -1 so that it
-    starts with +1, where weights were built from the rows perm.  Over all
-    of S_n, these images and their complements are f's orbit.
+def _packed_images(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Entry [w, s * 2**n + alpha]: word w of g read with its vertices
+    reversed, where g is f (a 0/1 array) read through
+    phi(v) = perm[s, v] ^ alpha and negated where f(alpha) = -1 so that it
+    starts with +1, and weights were built from the rows perm.
 
-    Words hold 64 vertices (all 2**n when n < 6).  Little-endian words
-    hold vertex v at bit v mod 64, as packed tables do.  Big-endian words
-    hold their first vertex in their top bit, so they order images as
-    value sequences.
+    Words are little-endian, as packed tables are: word w holds 64 vertices
+    (all 2**n when n < 6), vertex v at bit v mod 64.  Reversing the vertex
+    order, v -> v ^ (2**n - 1), is the translate by 2**n - 1, itself a
+    group element.  So each column is the packed table of an image of f,
+    up to sign; over all of S_n, these images and their complements are
+    f's orbit.  And read most significant word first, each column is g's
+    value sequence g(0), g(1), ... as a big-endian key, so the least key
+    is the least sequence.
     """
     size = len(vals)
     vertices = np.arange(size)
-    # Column alpha of shifted is f(. ^ alpha) with that sign.
-    shifted = (vals[vertices[:, None] ^ vertices] ^ vals).astype(np.float64)
+    # Entry [u, alpha] of shifted is f(u ^ alpha ^ (2**n - 1)) with that sign.
+    shifted = (vals[vertices[::-1, None] ^ vertices] ^ vals).astype(np.float64)
     # Each entry of the product sums distinct powers of two below 2**32, so
     # every partial sum is an integer below 2**53: exact in float64 in any
     # order of summation.
@@ -203,19 +203,19 @@ def _packed_images(vals: np.ndarray, weights: np.ndarray, big_endian: bool) -> n
     chunks = chunks.reshape(size // min(32, size), -1)
     if len(chunks) == 1:
         return chunks
-    high, low = (chunks[0::2], chunks[1::2]) if big_endian else (chunks[1::2], chunks[0::2])
+    high = chunks[1::2]
     high <<= 32
-    high |= low
+    high |= chunks[0::2]
     return high
 
 
 def _orbit(f: TruthTable) -> np.ndarray:
     """Every table in f's orbit, packed as uint64, repeats included (n <= 6).
 
-    One product, as in :func:`canonical_form`, with little-endian words:
-    0.03 ms at n = 5 and 1.5-1.8 ms at n = 6 (2-core Xeon, weights cached).
+    One product, as in :func:`canonical_form`: 0.03 ms at n = 5 and
+    1.5-1.8 ms at n = 6 (2-core Xeon, weights cached).
     """
-    images = _packed_images(_unpack(f.bits, f.n), _group_weights(f.n, False), False)[0]
+    images = _packed_images(_unpack(f.bits, f.n), _group_weights(f.n))[0]
     return np.concatenate([images, images ^ ((1 << (1 << f.n)) - 1)])
 
 
@@ -231,12 +231,12 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
 
     Brute force over the whole group: one matrix product packs f read
     through all 2**n n! vertex maps (each translate of f read through each
-    coordinate permutation) into big-endian keys, then one minimum over
-    the keys.  One random table takes 0.05-0.09 ms at n = 5, 0.8-1.4 ms at
-    n = 6 and 0.026-0.030 s at n = :data:`MAX_CANONICAL_N` (2-core Xeon,
-    after the permutation tables, and at n <= 6 the weights, are cached;
-    building them at n = 7 takes 0.1 s once), so no budget is needed.
-    Refused beyond n = :data:`MAX_CANONICAL_N`.
+    coordinate permutation) into keys (:func:`_packed_images`), then one
+    minimum over the keys.  One random table takes 0.05-0.09 ms at n = 5,
+    0.8-1.4 ms at n = 6 and 0.026-0.030 s at n = :data:`MAX_CANONICAL_N`
+    (2-core Xeon, after the permutation tables, and at n <= 6 the weights,
+    are cached; building them at n = 7 takes 0.1 s once), so no budget is
+    needed.  Refused beyond n = :data:`MAX_CANONICAL_N`.
     """
     n = f.n
     _check_canonical_n(n)
@@ -251,10 +251,10 @@ def canonical_form(f: TruthTable) -> tuple[TruthTable, SignedAutomorphism]:
         # packed one, which starts with +1, can be least.  Rows run in group
         # order, so argmin finds the first least key.
         if step >= len(sigmas):  # one block: the cached whole-group weights
-            weights = _group_weights(n, True)
+            weights = _group_weights(n)
         else:
-            weights = _image_weights(perm[start : start + step], True)
-        keys = _packed_images(vals, weights, True)
+            weights = _image_weights(perm[start : start + step])
+        keys = _packed_images(vals, weights)[::-1]
         if len(keys) == 1:
             row = int(keys[0].argmin())
         else:  # n = 7: two words, compared in turn

@@ -32,8 +32,13 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from ._util import indices_from_mask, mask_from_indices
-from .core import SparsePolynomial, TruthTable, _check_dimension
+from .core import (
+    SparsePolynomial,
+    TruthTable,
+    _check_dimension,
+    indices_from_mask,
+    mask_from_indices,
+)
 from .group import SignedAutomorphism
 from .scenery import SceneryDistribution, Word
 

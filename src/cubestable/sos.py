@@ -146,16 +146,6 @@ def _surd_power(q: int) -> tuple[int, int]:
     return a, b
 
 
-def _floor_surd_power(q: int, c: int) -> int:
-    """floor(c * (2*sqrt(q) + 1)**q), exactly.
-
-    With the power as a + b*sqrt(q) (:func:`_surd_power`), uses
-    floor(x + y*sqrt(q)) = x + isqrt(y*y*q) for x, y >= 0.
-    """
-    a, b = _surd_power(q)
-    return c * a + isqrt(c * b * c * b * q)
-
-
 def _bounds_reports(
     q: int, ts: Iterable[int], memo_limit: int = DEFAULT_MEMO_LIMIT
 ) -> Iterator[BoundsReport]:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import indices_from_mask, parallel_map
+from ._util import parallel_map
 from .constructions import (
     complement,
     cover_check,
@@ -27,7 +27,13 @@ from .constructions import (
     max_relevant_construct,
     uncoverable4,
 )
-from .core import TruthTable, _butterfly, _sparse_numerators, _unpack
+from .core import (
+    TruthTable,
+    _butterfly,
+    _sparse_numerators,
+    _unpack,
+    indices_from_mask,
+)
 from .group import group_order
 from .kfunctions import (
     CountRecord,

@@ -220,6 +220,29 @@ def test_construct_lemma7(capsys, tmp_path):
     }
 
 
+def test_construct_verify_failure_exits_1(capsys, tmp_path, monkeypatch):
+    # A certificate that fails: the function and the certificate still
+    # reach stdout, then one JSON error line on stderr and exit code 1.
+    failed = {"check": "spectral-level", "ok": False, "k": None, "terms": 4, "relevant": 4}
+    monkeypatch.setattr(cli, "_spectral_certificate", lambda h: dict(failed))
+    x1 = cs.SparsePolynomial.variable(1)
+    x2 = cs.SparsePolynomial.variable(2)
+    pf = write_function(tmp_path, "f.json", x1)
+    pg = write_function(tmp_path, "g.json", x2)
+    code, out, err = run(
+        capsys, ["construct", "--recipe", "lemma7", "--f", pf, "--g", pg, "--verify"]
+    )
+    assert code == 1
+    first, second = out.splitlines()
+    assert serialize.function_from_json(json.loads(first)).terms == cs.lift_pair(x1, x2).terms
+    assert json.loads(second) == failed
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "error": "VerificationFailed",
+        "message": "constructed function failed validation",
+    }
+
+
 def independent_certificate(h: cs.TruthTable) -> dict:
     """The spectral-level certificate from h's table alone: a WHT taken one
     tensor axis at a time, and relevance by flipping each coordinate."""

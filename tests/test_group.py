@@ -216,17 +216,18 @@ def test_canonical_form_blocks_keep_the_first_minimiser(monkeypatch, kfn):
         assert cs.canonical_form(f) == loop_canonical_form(f), f
 
 
-def reference_words(g: cs.TruthTable, perm: np.ndarray, big_endian: bool) -> np.ndarray:
+def reference_words(g: cs.TruthTable, perm: np.ndarray) -> np.ndarray:
     """_packed_images from Python ints: column s * 2**n + alpha holds the
-    words of g read through perm[s] ^ alpha and normalised to start +1."""
+    image of g read through perm[s] ^ alpha, normalised to start +1, as one
+    integer with vertex 0 its most significant bit, split into 64-bit
+    words least significant first."""
     size = 1 << g.n
     vals = _unpack(g.bits, g.n).tolist()
     out = []
     for p in perm.tolist():
         for alpha in range(size):
-            bits = "".join(str(vals[u ^ alpha] ^ vals[alpha]) for u in p)
-            words = [bits[i : i + 64] for i in range(0, size, 64)]
-            out.append([int(w if big_endian else w[::-1], 2) for w in words])
+            key = int("".join(str(vals[u ^ alpha] ^ vals[alpha]) for u in p), 2)
+            out.append([(key >> w) & ((1 << 64) - 1) for w in range(0, size, 64)])
     return np.array(out, dtype=np.uint64).T
 
 
@@ -246,15 +247,27 @@ def test_canonical_form_exact_at_the_word_boundary():
         perm = _permutation_tables(n)[1][:4]
         for g in tables:
             assert cs.canonical_form(g) == loop_canonical_form(g), g
-            for big_endian in (True, False):
-                got = _packed_images(
-                    _unpack(g.bits, n), _image_weights(perm, big_endian), big_endian
-                )
-                assert (got == reference_words(g, perm, big_endian)).all(), g
+            got = _packed_images(_unpack(g.bits, n), _image_weights(perm))
+            assert (got == reference_words(g, perm)).all(), g
         if n <= 6:
             # The orbit: every table with exactly one -1 or exactly one +1.
             ones = {1 << v for v in range(size)}
             assert set(_orbit(f).tolist()) == ones | {full ^ b for b in ones}
+
+
+def test_canonical_form_is_the_least_orbit_member(kfn):
+    # canonical_form keys images read from vertex 0 and the orbit sweep
+    # packs them from vertex 0 up, both from one product: the representative
+    # is the orbit member least with its bits reversed.
+    rng = random.Random(18)
+    tables = [f for n in range(5) for k in range(n + 1) for f in kfn(n, k)[:6]]
+    tables += [f for k in (1, 2, 3) for f in islice(cs.enumerate_spectral(5, k), 6)]
+    tables += list(islice(cs.enumerate_spectral(6, 2), 3))
+    tables += [cs.TruthTable(n, rng.getrandbits(1 << n)) for n in (1, 2, 3, 4, 5, 5, 6, 6)]
+    for f in tables:
+        width = 1 << f.n
+        least = min(_orbit(f).tolist(), key=lambda b: int(f"{b:0{width}b}"[::-1], 2))
+        assert cs.canonical_form(f)[0].bits == least, f
 
 
 def test_canonical_dimension_ceiling():

@@ -5,7 +5,7 @@ import pytest
 
 import cubestable as cs
 from cubestable import serialize
-from cubestable._util import mask_from_indices
+from cubestable.core import mask_from_indices
 from cubestable.errors import DimensionTooLarge, IndexOverflow
 
 

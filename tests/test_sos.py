@@ -5,7 +5,7 @@ import pytest
 import cubestable as cs
 from cubestable import sos
 from cubestable.errors import BudgetExceeded, PreconditionViolated
-from cubestable.sos import BoundsReport, _bounds_reports, _floor_surd_power
+from cubestable.sos import BoundsReport, _bounds_reports
 
 
 def test_small_closed_forms():
@@ -74,16 +74,15 @@ def test_negative_memo_limit_is_refused(monkeypatch):
 
 
 def test_floor_surd_power():
-    # floor(c * (2 sqrt(q) + 1)**q) against float arithmetic where floats
-    # are trustworthy, plus hand values: q=1 -> floor(3) = 3,
+    # upper_value = floor(C(t, q) * (2 sqrt(q) + 1)**q) against float
+    # arithmetic where floats are trustworthy, plus hand values at t = q:
+    # q=0 -> 1, q=1 -> floor(3) = 3,
     # q=2 -> floor((2 sqrt 2 + 1)^2) = floor(9 + 4 sqrt 2) = 14.
-    assert _floor_surd_power(0, 7) == 7
-    assert _floor_surd_power(1, 1) == 3
-    assert _floor_surd_power(2, 1) == 14
+    assert [cs.check_bounds(q, q).upper_value for q in (0, 1, 2)] == [1, 3, 14]
     for q in range(1, 8):
-        for c in (1, 5):
-            exact = _floor_surd_power(q, c)
-            approx = c * (2 * q**0.5 + 1) ** q
+        for t in (q, q + 1):
+            exact = cs.check_bounds(q, t).upper_value
+            approx = comb(t, q) * (2 * q**0.5 + 1) ** q
             assert abs(exact - approx) < 1e-6 * approx + 1
 
 
@@ -161,7 +160,7 @@ def test_f_upper_bound_validation():
 def test_isqrt_edge_in_surd_floor():
     # perfect-square surd parts must not round up
     for q in (4, 9, 16):
-        got = _floor_surd_power(q, 1)
+        got = cs.check_bounds(q, q).upper_value
         root = isqrt(q)
         assert got == (2 * root + 1) ** q
 
