@@ -17,8 +17,6 @@ import sys
 from functools import lru_cache
 from typing import Any
 
-import numpy as np
-
 from .constructions import (
     cover_check,
     lift_pair,
@@ -28,8 +26,6 @@ from .constructions import (
 from .core import (
     SparsePolynomial,
     TruthTable,
-    _constant_coordinates,
-    _within,
     inverse_wht,
     relevant_indices,
     spectrum_from_sparse,
@@ -63,19 +59,11 @@ def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _load_document(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _load_function(path: str) -> TruthTable | SparsePolynomial:
-    return function_from_json(_load_document(path))
-
-
 def _read_table(path: str) -> tuple[TruthTable | SparsePolynomial, int]:
     """A function file and the n it is densified on: a sparse function's
     declared n, at least 1."""
-    doc = _load_document(path)
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
     obj = function_from_json(doc)
     return obj, obj.n if isinstance(obj, TruthTable) else max(doc["n"], 1)
 
@@ -157,31 +145,16 @@ def _cmd_isomorphic(args: argparse.Namespace) -> int:
 def _spectral_certificate(
     h: TruthTable | SparsePolynomial,
 ) -> dict[str, Any]:
-    if isinstance(h, TruthTable):
-        # Every nonzero coefficient sits on a mask within the coordinates h
-        # depends on, so one scan of those 2**|R| entries finds them all.
-        # Their indices there keep the masks' popcounts, and the popcount
-        # of the masks' OR: the levels, the term count and the relevant
-        # variables need no mask of Q_n.
-        skip = _constant_coordinates(h.bits, h.n)
-        hits = np.flatnonzero(_within(wht(h)._a, h.n, skip))
-        counts = np.bincount(np.bitwise_count(hits))
-        levels = frozenset(np.flatnonzero(counts).tolist())
-        terms = len(hits)
-        rel = int(np.bitwise_or.reduce(hits)).bit_count()
-        parseval_one = True  # Boolean by construction
-    else:
-        levels = h.support_levels()
-        terms = len(h.terms)
-        rel = len(relevant_indices(h))
-        parseval_one = h.parseval_sum() == 1
-    ok = len(levels) == 1 and parseval_one
+    p = wht(h) if isinstance(h, TruthTable) else h
+    levels = p.support_levels()
+    # A table is Boolean by construction; a polynomial must show Parseval.
+    boolean = isinstance(h, TruthTable) or h.parseval_sum() == 1
     return {
         "check": "spectral-level",
-        "ok": ok,
+        "ok": len(levels) == 1 and boolean,
         "k": next(iter(levels)) if len(levels) == 1 else None,
-        "terms": terms,
-        "relevant": rel,
+        "terms": len(p.support()),
+        "relevant": len(relevant_indices(p)),
     }
 
 
@@ -189,7 +162,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.recipe == "lemma7":
         if not args.f or not args.g:
             raise ValueError("recipe lemma7 needs --f and --g")
-        result = lift_pair(_load_function(args.f), _load_function(args.g))
+        result = lift_pair(_read_table(args.f)[0], _read_table(args.g)[0])
     elif args.recipe == "max-relevant":
         if args.k is None:
             raise ValueError("recipe max-relevant needs --k")

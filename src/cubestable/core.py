@@ -13,7 +13,9 @@ Conventions, used consistently across the whole package:
   ``coeffs[S] = 2**n * fhat(S)`` in one read-only numpy array (int64, or
   Python ints past int64) and scans it with numpy reductions; ``coeffs``
   gives them as Python ints.  For a +/-1-valued f, Parseval reads
-  ``sum(c*c for c in coeffs) == 4**n`` exactly.
+  ``sum(c*c for c in coeffs) == 4**n`` exactly.  A spectrum from :func:`wht`
+  also records the coordinates f does not depend on, and its support scans
+  read only the 2**|R| coefficients on its relevant coordinates R.
 * A :class:`SparsePolynomial` stores only nonzero coefficients, each as a
   dyadic rational ``num / 2**log2_den`` keyed by its mask.  Masks may use
   variable indices up to 64, independent of any ambient n.
@@ -170,12 +172,16 @@ class Spectrum:
 
     ``coeffs[S] = 2**n * fhat(S)``, indexed by subset mask, held in one
     read-only array: int64 if every coefficient fits, else Python ints.
+    Every coefficient on a mask that meets the private coordinate mask
+    ``_skip`` is zero: :func:`wht` and :func:`spectrum_from_sparse` set it
+    to the coordinates the function does not use, the constructor to 0.
     """
 
-    __slots__ = ("n", "_a")
+    __slots__ = ("n", "_a", "_skip")
 
     n: int
     _a: np.ndarray
+    _skip: int
 
     def __init__(self, n: int, coeffs: Iterable[int]):
         _check_dimension(n)
@@ -189,9 +195,33 @@ class Spectrum:
         except OverflowError:
             self._set(n, np.array(list(map(int, cs)), dtype=object))
 
-    def _set(self, n: int, a: np.ndarray) -> None:
+    def _set(self, n: int, a: np.ndarray, skip: int = 0) -> "Spectrum":
         a.flags.writeable = False
-        self.n, self._a = n, a
+        self.n, self._a, self._skip = n, a, skip
+        return self
+
+    def _masks(self) -> np.ndarray:
+        """The support, ascending, from one scan of the entries that avoid
+        ``_skip``: hit i's bits are spread over the other coordinates,
+        lowest first, as :func:`_within` lays them out, which keeps order.
+        The bits that move the same distance, a run of kept coordinates,
+        move together."""
+        hits = np.flatnonzero(_within(self._a, self.n, self._skip))
+        if not self._skip:
+            return hits
+        moves: dict[int, int] = {}
+        kept = [c for c in range(self.n) if not self._skip >> c & 1]
+        for i, j in enumerate(kept):
+            moves[j - i] = moves.get(j - i, 0) | 1 << i
+        masks = np.zeros_like(hits)
+        for shift, bits in moves.items():
+            masks |= (hits & bits) << shift
+        return masks
+
+    def _terms(self) -> dict[int, int]:
+        """The nonzero coefficients as Python ints, by ascending mask."""
+        masks = self._masks()
+        return dict(zip(masks.tolist(), self._a[masks].tolist()))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -206,11 +236,11 @@ class Spectrum:
 
     def support(self) -> list[int]:
         """Masks with nonzero coefficient, ascending."""
-        return np.flatnonzero(self._a).tolist()
+        return self._masks().tolist()
 
     def support_levels(self) -> frozenset[int]:
         """The set of popcounts occurring in the support."""
-        counts = np.bincount(np.bitwise_count(np.flatnonzero(self._a)))
+        counts = np.bincount(np.bitwise_count(self._masks()))
         return frozenset(np.flatnonzero(counts).tolist())
 
     def __eq__(self, other: object) -> bool:
@@ -219,12 +249,10 @@ class Spectrum:
         return self.n == other.n and np.array_equal(self._a, other._a)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        return hash((self.n, tuple(self._terms().items())))
 
     def __repr__(self) -> str:
-        masks = np.flatnonzero(self._a)
-        nz = dict(zip(masks.tolist(), self._a[masks].tolist()))
-        return f"Spectrum(n={self.n}, nonzero={nz})"
+        return f"Spectrum(n={self.n}, nonzero={self._terms()})"
 
 
 def _normalize_term(num: int, log2_den: int) -> tuple[int, int]:
@@ -310,9 +338,7 @@ class SparsePolynomial:
     @classmethod
     def variable(cls, i: int) -> "SparsePolynomial":
         """The coordinate function x_i (1-based index)."""
-        if not 1 <= i <= MAX_VAR_INDEX:
-            raise IndexOverflow(f"variable index {i} outside 1..{MAX_VAR_INDEX}")
-        return cls({1 << (i - 1): (1, 0)})
+        return cls({mask_from_indices((i,)): (1, 0)})
 
     def coefficient(self, mask: int) -> Fraction:
         num, a = self.terms.get(mask, (0, 0))
@@ -644,10 +670,8 @@ def wht(f: TruthTable) -> Spectrum:
         within = _within(full, n, skip)
         within[...] = a.reshape(within.shape)
         a = full
-    spectrum = Spectrum.__new__(Spectrum)
-    spectrum._set(n, a)
-    f._spectrum = spectrum
-    return spectrum
+    f._spectrum = Spectrum.__new__(Spectrum)._set(n, a, skip)
+    return f._spectrum
 
 
 def inverse_wht(s: Spectrum) -> TruthTable:
@@ -684,7 +708,7 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
     contains it.
     """
     if isinstance(obj, Spectrum):
-        union = int(np.bitwise_or.reduce(np.flatnonzero(obj._a)))
+        union = int(np.bitwise_or.reduce(obj._masks()))
     elif isinstance(obj, SparsePolynomial):
         union = obj.relevant_mask()
     else:
@@ -777,11 +801,9 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
             _check_integer_type(type(i), "variable index")
             _check_integer_type(type(val), f"assignment for x_{i}")
             i, val = int(i), int(val)
-        if not 1 <= i <= MAX_VAR_INDEX:
-            raise IndexOverflow(f"variable index {i} outside 1..{MAX_VAR_INDEX}")
+        bit = mask_from_indices((i,))
         if val not in (1, -1):
             raise ValueError(f"assignment for x_{i} is {val}, not +/-1")
-        bit = 1 << (i - 1)
         given |= bit
         if val == -1:
             neg |= bit
@@ -795,10 +817,7 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
 
 def sparse_from_spectrum(s: Spectrum) -> SparsePolynomial:
     """The polynomial with coefficient fhat(S) on each support mask of s."""
-    masks = np.flatnonzero(s._a)
-    return SparsePolynomial(
-        {m: (c, s.n) for m, c in zip(masks.tolist(), s._a[masks].tolist())}
-    )
+    return SparsePolynomial({m: (c, s.n) for m, c in s._terms().items()})
 
 
 def sparse_from_truth_table(f: TruthTable) -> SparsePolynomial:
@@ -808,18 +827,26 @@ def sparse_from_truth_table(f: TruthTable) -> SparsePolynomial:
 def spectrum_from_sparse(p: SparsePolynomial, n: int) -> Spectrum:
     """Embed a polynomial on variables within 1..n as a dense spectrum.
 
-    Raises :class:`DimensionTooLarge` via the Spectrum constructor if n is
-    past the dense ceiling, ValueError if p mentions a variable beyond n, or
+    Raises :class:`DimensionTooLarge` if n is past the dense ceiling,
+    ValueError if p mentions a variable beyond n, or
     :class:`NotBoolean` if a coefficient is not a multiple of 1/2**n.
     """
     _check_dimension(n)
-    if p.relevant_mask() >> n:
+    relevant = p.relevant_mask()
+    if relevant >> n:
         raise ValueError(f"polynomial mentions variables beyond x_{n}")
-    coeffs = [0] * (1 << n)
-    for mask, (num, a) in p.terms.items():
+    nums = []
+    for num, a in p.terms.values():
         if a > n:
             raise NotBoolean(
                 f"coefficient {num}/2**{a} is finer than the 2**-{n} grid of Q_{n}"
             )
-        coeffs[mask] = num << (n - a)
-    return Spectrum(n, coeffs)
+        nums.append(num << (n - a))
+    # The constructor's dtype: int64, unless a scaled numerator needs more.
+    masks, coeffs = list(p.terms), np.zeros(1 << n, dtype=np.int64)
+    try:
+        coeffs[masks] = nums
+    except OverflowError:
+        coeffs = coeffs.astype(object)
+        coeffs[masks] = nums
+    return Spectrum.__new__(Spectrum)._set(n, coeffs, ((1 << n) - 1) & ~relevant)

@@ -349,6 +349,19 @@ def test_spectrum_scans_match_enumerate_reference():
     ]
     spectra += [cs.wht(cs.TruthTable(n, rng.getrandbits(1 << n))) for n in (10, 14)]
     spectra += [cs.wht(cs.pad_to(cs.TruthTable(3, 0x96), 10))]
+    # Padded tables whose relevant coordinates a random signed automorphism
+    # scatters over Q_n, so the scan spreads its hits over coordinates that
+    # are not the lowest; their sparse forms embed with the same gaps.
+    for n in (7, 9, 11):
+        for f in (cs.TruthTable(3, 0x96), cs.TruthTable(5, rng.getrandbits(32))):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            a = cs.SignedAutomorphism(n, 1, rng.getrandbits(n), tuple(perm))
+            s = cs.wht(cs.apply(a, cs.pad_to(f, n)))
+            spectra += [s, cs.spectrum_from_sparse(cs.sparse_from_spectrum(s), n)]
+    # A constant skips every coordinate; the full parity skips none.
+    spectra += [cs.wht(cs.TruthTable.constant(8, -1))]
+    spectra += [cs.wht(cs.TruthTable.character(9, 511))]
     # Coefficients past int64 and an all-zero spectrum take the same paths.
     spectra += [cs.Spectrum(2, [2**70, 0, -3, 2**64]), cs.Spectrum(3, [0] * 8)]
     for s in spectra:
@@ -358,6 +371,8 @@ def test_spectrum_scans_match_enumerate_reference():
         assert cs.relevant_indices(s) == relevant
         assert cs.sparse_from_spectrum(s) == sparse
         assert all(type(m) is int for m in s.support())
+        built = cs.Spectrum(s.n, s.coeffs)
+        assert hash(s) == hash(built) and repr(s) == repr(built)
 
 
 def test_spectrum_coeffs_are_python_ints_and_equal_a_built_spectrum():
@@ -678,6 +693,49 @@ def test_spectrum_sparse_conversions_roundtrip():
         f = cs.TruthTable(4, rng.getrandbits(16))
         p = cs.sparse_from_truth_table(f)
         assert cs.spectrum_from_sparse(p, 4) == cs.wht(f)
+
+
+def test_spectrum_from_sparse_matches_the_constructor():
+    """Scattering into one array builds the spectrum that the constructor
+    builds from the full list of scaled numerators."""
+
+    def built(p, n):
+        coeffs = [0] * (1 << n)
+        for mask, (num, a) in p.terms.items():
+            coeffs[mask] = num << (n - a)
+        return cs.Spectrum(n, coeffs)
+
+    rng = random.Random(25)
+    polys = [cs.sparse_from_truth_table(cs.TruthTable(4, rng.getrandbits(16)))]
+    polys += [cs.SparsePolynomial.zero(), cs.SparsePolynomial.constant(-1)]
+    # Numerators past int64 after scaling, one of them negative.
+    polys += [cs.SparsePolynomial({0b100: (2**62, 0), 0b1: (-3, 2)})]
+    polys += [cs.SparsePolynomial({0b101: (-(2**70), 1), 0: (1, 0)})]
+    for p in polys:
+        for n in (4, 5, 9):
+            s, want = cs.spectrum_from_sparse(p, n), built(p, n)
+            assert s == want and s._a.dtype == want._a.dtype
+            assert hash(s) == hash(want) and repr(s) == repr(want)
+    # The documented order of the errors: dimension, variable, denominator.
+    bad = cs.SparsePolynomial({0b1000: (1, 5)})
+    for n, error in ((27, DimensionTooLarge), (3, ValueError), (4, NotBoolean)):
+        with pytest.raises(error) as caught:
+            cs.spectrum_from_sparse(bad, n)
+        assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("index", [0, 65, -1])
+def test_variable_index_checks_share_one_message(index):
+    p = cs.SparsePolynomial.variable(1)
+    entries = (
+        lambda: core.mask_from_indices([index]),
+        lambda: cs.SparsePolynomial.variable(index),
+        lambda: cs.evaluate_sparse(p, {1: 1, index: 1}),
+    )
+    for entry in entries:
+        with pytest.raises(IndexOverflow) as caught:
+            entry()
+        assert str(caught.value) == f"variable index {index} outside 1..64"
 
 
 def test_dense_ceiling_and_variable_ceiling():
