@@ -177,11 +177,12 @@ class Spectrum:
     to the coordinates the function does not use, the constructor to 0.
     """
 
-    __slots__ = ("n", "_a", "_skip")
+    __slots__ = ("n", "_a", "_skip", "_support")
 
     n: int
     _a: np.ndarray
     _skip: int
+    _support: np.ndarray | None
 
     def __init__(self, n: int, coeffs: Iterable[int]):
         _check_dimension(n)
@@ -197,25 +198,28 @@ class Spectrum:
 
     def _set(self, n: int, a: np.ndarray, skip: int = 0) -> "Spectrum":
         a.flags.writeable = False
-        self.n, self._a, self._skip = n, a, skip
+        self.n, self._a, self._skip, self._support = n, a, skip, None
         return self
 
     def _masks(self) -> np.ndarray:
-        """The support, ascending, from one scan of the entries that avoid
-        ``_skip``: hit i's bits are spread over the other coordinates,
-        lowest first, as :func:`_within` lays them out, which keeps order.
-        The bits that move the same distance, a run of kept coordinates,
-        move together."""
-        hits = np.flatnonzero(_within(self._a, self.n, self._skip))
-        if not self._skip:
-            return hits
-        moves: dict[int, int] = {}
-        kept = [c for c in range(self.n) if not self._skip >> c & 1]
-        for i, j in enumerate(kept):
-            moves[j - i] = moves.get(j - i, 0) | 1 << i
-        masks = np.zeros_like(hits)
-        for shift, bits in moves.items():
-            masks |= (hits & bits) << shift
+        """The support, ascending and read-only, from one scan of the
+        entries that avoid ``_skip``, kept for the spectrum's later reads:
+        hit i's bits are spread over the other coordinates, lowest first,
+        as :func:`_within` lays them out, which keeps order.  The bits that
+        move the same distance, a run of kept coordinates, move together."""
+        if self._support is not None:
+            return self._support
+        masks = np.flatnonzero(_within(self._a, self.n, self._skip))
+        if self._skip:
+            moves: dict[int, int] = {}
+            kept = [c for c in range(self.n) if not self._skip >> c & 1]
+            for i, j in enumerate(kept):
+                moves[j - i] = moves.get(j - i, 0) | 1 << i
+            hits, masks = masks, np.zeros_like(masks)
+            for shift, bits in moves.items():
+                masks |= (hits & bits) << shift
+        masks.flags.writeable = False
+        self._support = masks
         return masks
 
     def _terms(self) -> dict[int, int]:
@@ -827,26 +831,21 @@ def sparse_from_truth_table(f: TruthTable) -> SparsePolynomial:
 def spectrum_from_sparse(p: SparsePolynomial, n: int) -> Spectrum:
     """Embed a polynomial on variables within 1..n as a dense spectrum.
 
-    Raises :class:`DimensionTooLarge` if n is past the dense ceiling,
-    ValueError if p mentions a variable beyond n, or
+    Raises :class:`DimensionTooLarge` via the Spectrum constructor if n is
+    past the dense ceiling, ValueError if p mentions a variable beyond n, or
     :class:`NotBoolean` if a coefficient is not a multiple of 1/2**n.
     """
     _check_dimension(n)
     relevant = p.relevant_mask()
     if relevant >> n:
         raise ValueError(f"polynomial mentions variables beyond x_{n}")
-    nums = []
-    for num, a in p.terms.values():
+    coeffs = [0] * (1 << n)
+    for mask, (num, a) in p.terms.items():
         if a > n:
             raise NotBoolean(
                 f"coefficient {num}/2**{a} is finer than the 2**-{n} grid of Q_{n}"
             )
-        nums.append(num << (n - a))
-    # The constructor's dtype: int64, unless a scaled numerator needs more.
-    masks, coeffs = list(p.terms), np.zeros(1 << n, dtype=np.int64)
-    try:
-        coeffs[masks] = nums
-    except OverflowError:
-        coeffs = coeffs.astype(object)
-        coeffs[masks] = nums
-    return Spectrum.__new__(Spectrum)._set(n, coeffs, ((1 << n) - 1) & ~relevant)
+        coeffs[mask] = num << (n - a)
+    spectrum = Spectrum(n, coeffs)
+    spectrum._skip = ((1 << n) - 1) & ~relevant
+    return spectrum

@@ -696,8 +696,9 @@ def test_spectrum_sparse_conversions_roundtrip():
 
 
 def test_spectrum_from_sparse_matches_the_constructor():
-    """Scattering into one array builds the spectrum that the constructor
-    builds from the full list of scaled numerators."""
+    """The embedded spectrum equals, dtype and all, the one the constructor
+    builds from the full list of scaled numerators, and its recorded
+    relevant coordinates give the same hash and repr."""
 
     def built(p, n):
         coeffs = [0] * (1 << n)
