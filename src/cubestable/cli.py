@@ -44,7 +44,7 @@ from .serialize import (
     dumps,
     function_from_json,
     function_to_json,
-    scenery_to_json,
+    scenery_text,
     witness_to_json,
 )
 from .sos import check_bounds, f_upper_bound, sos_count
@@ -220,12 +220,8 @@ def _cmd_scenery(args: argparse.Namespace) -> int:
         g, ng = _read_table(args.compare)
         _check_scenery_size(ng, args.steps)
     dist = exact_scenery(_densify(f, nf), args.steps)
-    doc = scenery_to_json(dist)
-    if args.compare:
-        other = exact_scenery(_densify(g, ng), args.steps)
-        doc["equal"] = dist == other
-        doc["compare_probs"] = scenery_to_json(other)["probs"]
-    _emit(dumps(doc))
+    other = exact_scenery(_densify(g, ng), args.steps) if args.compare else None
+    _emit(scenery_text(dist, other))
     return 0
 
 

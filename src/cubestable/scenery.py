@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,8 +47,6 @@ MAX_STEPS = 12
 MAX_DP_CELLS = 1 << 20
 
 Word = tuple[int, ...]
-
-T = TypeVar("T")
 
 #: Most steps a hand-built law may have: its L + 1 letter bits must fit
 #: an int64 code.
@@ -124,24 +122,20 @@ class SceneryDistribution:
         first: 1 for -1 and 0 for +1."""
         return (self.codes[:, None] >> np.arange(self.L, -1, -1)) & 1
 
-    def word_strings(self) -> list[str]:
-        """The words as ``+``/``-`` strings, in code order (which is their
-        string order)."""
-        # One code point per letter, "+" (43) or "-" (45), each row read as
-        # one numpy string.
-        points = (43 + 2 * self._minus_bits()).astype(np.uint32)
-        return points.view(f"U{self.L + 1}").ravel().tolist()
-
-    def per_word(self, make: Callable[[Fraction], T]) -> list[T]:
-        """``make(P(word))`` for every word in code order, called once per
-        distinct weight; a k-function's law has at most L + 1 of them."""
-        shared = {w: make(Fraction(w, self.norm)) for w in set(self.weights)}
-        return list(map(shared.__getitem__, self.weights))
+    def _weight_classes(self) -> tuple[list[int], list[int]]:
+        """The distinct weights, in order of first use, and for every word
+        in code order the position of its weight among them.  A
+        k-function's law has at most L + 1 distinct weights, so whatever is
+        made of a weight is made once for each of them."""
+        position = {w: i for i, w in enumerate(dict.fromkeys(self.weights))}
+        return list(position), list(map(position.__getitem__, self.weights))
 
     @property
     def probs(self) -> dict[Word, Fraction]:
+        distinct, classes = self._weight_classes()
+        shared = [Fraction(w, self.norm) for w in distinct]
         words = map(tuple, (1 - 2 * self._minus_bits()).tolist())
-        return dict(zip(words, self.per_word(lambda p: p)))
+        return dict(zip(words, map(shared.__getitem__, classes)))
 
     def total(self) -> Fraction:
         return Fraction(sum(self.weights), self.norm)

@@ -18,11 +18,16 @@ where alpha's j-th character (0-based) is "1" iff coordinate x_{j+1} is
 negated, and sigma lists the 1-based source coordinate for each output
 coordinate.
 
-Scenery laws serialize as {"L": 2, "probs": {"+++": "9/32", ...}} (a
-1-function on Q_4): one "+"/"-" string per word of positive probability,
-in ascending order, each with its reduced probability as
-"<digits>/<digits>".  Reading one back needs a JSON-integer L and such
-strings with a positive denominator.
+Scenery laws serialize as one line of canonical JSON, the bytes::
+
+    {"L":2,"probs":{"+++":"9/32","++-":"3/32",...}}
+
+for a 1-function on Q_4: one "+"/"-" string per word of positive
+probability, in ascending order, each with its reduced probability as
+"<digits>/<digits>".  With a second law to compare, the line has the keys
+"L", "compare_probs", "equal" (true or false) and "probs", in that order.
+Reading one back needs a JSON-integer L, such strings with a positive
+denominator, and probabilities that sum to 1.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import json
 import re
 from fractions import Fraction
 from typing import Any
+
+import numpy as np
 
 from .core import (
     SparsePolynomial,
@@ -181,10 +188,45 @@ def word_from_str(text: str) -> Word:
     return tuple(out)
 
 
-def scenery_to_json(dist: SceneryDistribution) -> dict[str, Any]:
-    # The codes ascend, so the words come out in the order of their strings.
-    ratios = dist.per_word(lambda p: f"{p.numerator}/{p.denominator}")
-    return {"L": dist.L, "probs": dict(zip(dist.word_strings(), ratios))}
+def _probs_text(dist: SceneryDistribution) -> str:
+    """The law's ``probs`` object as canonical JSON, one uint8 row per word.
+
+    Row r holds '"', the word's letters, '":"', its ratio padded with zero
+    bytes to the widest ratio, and '",'.  Each distinct ratio is formatted
+    once; the codes ascend, so the words come out in sorted order."""
+    if not dist.weights:
+        return "{}"
+    distinct, classes = dist._weight_classes()
+    ratios = (Fraction(w, dist.norm) for w in distinct)
+    # numpy's S dtype pads every ratio with zero bytes to the widest.
+    table = np.array([f"{p.numerator}/{p.denominator}" for p in ratios], dtype="S")
+    table = table.view(np.uint8).reshape(len(distinct), -1)
+    letters = dist.L + 1
+    rows = np.empty((len(classes), letters + table.shape[1] + 6), np.uint8)
+    rows[:, 0] = ord('"')
+    # "+" is 43 and "-" is 45.
+    rows[:, 1 : letters + 1] = 43 + 2 * dist._minus_bits()
+    rows[:, letters + 1 : letters + 4] = np.frombuffer(b'":"', np.uint8)
+    rows[:, letters + 4 : -2] = table[classes]
+    rows[:, -2:] = np.frombuffer(b'",', np.uint8)
+    # Drop the padding and the last comma.
+    return "{" + rows.tobytes().replace(b"\0", b"")[:-1].decode("ascii") + "}"
+
+
+def scenery_text(
+    dist: SceneryDistribution, compare: SceneryDistribution | None = None
+) -> str:
+    """The line ``scenery`` prints for ``dist``, and with ``compare`` the
+    line of ``scenery --compare``: the bytes ``dumps`` gives for
+    {"L", "probs"}, or for {"L", "compare_probs", "equal", "probs"}."""
+    probs = _probs_text(dist)
+    if compare is None:
+        return f'{{"L":{dist.L},"probs":{probs}}}'
+    equal = "true" if dist == compare else "false"
+    return (
+        f'{{"L":{dist.L},"compare_probs":{_probs_text(compare)},'
+        f'"equal":{equal},"probs":{probs}}}'
+    )
 
 
 _RATIO = re.compile(r"([0-9]+)/([0-9]+)")
@@ -209,7 +251,10 @@ def scenery_from_json(doc: dict[str, Any], n: int) -> SceneryDistribution:
                 f"positive denominator, got {frac!r}"
             )
         probs[word_from_str(text)] = Fraction(int(match[1]), int(match[2]))
-    return SceneryDistribution(n, L, probs)
+    dist = SceneryDistribution(n, L, probs)
+    if dist.total() != 1:
+        raise ValueError(f"scenery probabilities sum to {dist.total()}, not 1")
+    return dist
 
 
 def dumps(doc: Any) -> str:

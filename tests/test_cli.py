@@ -429,6 +429,48 @@ def test_scenery_compare_on_q5(capsys, tmp_path):
     assert doc["probs"] == doc["compare_probs"] == {"+-+-+-+": "1/2", "-+-+-+-": "1/2"}
 
 
+def test_scenery_compare_prints_canonical_json(capsys, tmp_path):
+    # x_1 declared on Q_3 is the dictator on Q_3, a 1-function like x_2.
+    sparse = tmp_path / "x1.json"
+    term = {"vars": [1], "num": 1, "log2_den": 0}
+    sparse.write_text(json.dumps({"n": 3, "encoding": "sparse", "terms": [term]}) + "\n")
+    twos = list(cs.enumerate_spectral(4, 2))
+    tables = {
+        "x1": cs.TruthTable.dictator(3, 1),
+        "x2": cs.TruthTable.dictator(3, 2),
+        "parity": cs.TruthTable.character(3, 0b111),
+        "a": twos[0],
+        "b": twos[-1],
+        "one": cs.TruthTable.dictator(4, 3),
+    }
+    files = {
+        name: write_function(tmp_path, f"{name}.json", f) for name, f in tables.items()
+    }
+    files["x1"] = str(sparse)
+
+    def probs(name, L):
+        law = cs.exact_scenery(tables[name], L)
+        return {
+            serialize.word_to_str(w): f"{p.numerator}/{p.denominator}"
+            for w, p in law.probs.items()
+        }
+
+    cases = [
+        ("a", "b", 3, True),
+        ("one", "a", 3, False),
+        ("x2", "x1", 4, True),
+        ("parity", "x1", 4, False),
+        ("x1", "x2", 0, True),
+    ]
+    for f, g, L, equal in cases:
+        code, out, _ = run(
+            capsys, ["scenery", "--f", files[f], "--steps", str(L), "--compare", files[g]]
+        )
+        assert code == 0
+        want = {"L": L, "probs": probs(f, L), "compare_probs": probs(g, L), "equal": equal}
+        assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_sparse_file_keeps_its_declared_n(capsys, tmp_path):
     # x_1 declared on Q_3 is the dictator on Q_3, not a function on Q_1.
     doc = {

@@ -165,26 +165,41 @@ def test_canonical_witness_is_first_minimiser_in_group_order():
 
 
 def loop_canonical_form(f: cs.TruthTable) -> tuple[cs.TruthTable, cs.SignedAutomorphism]:
-    """Reference: one gather per sigma, then one big-int key per (alpha, epsilon)."""
+    """Reference: one gather per sigma, then one min over its 2**n keys and
+    their complements.
+
+    Row alpha of the gather is the image under (sigma, alpha).  Its packed
+    bytes, vertex 0 the most significant bit, are its key: byte strings of
+    one length compare as the big-endian integers they spell.  The least
+    complement is that of the greatest key.  The first minimiser wins:
+    sigma in permutations order, then alpha ascending, then epsilon = +1
+    before -1.
+    """
     n = f.n
     size = 1 << n
     full = (1 << size) - 1
+    width = -(-size // 8)
+    # packbits pads a row of fewer than 8 vertices with low zero bits.
+    pad = 8 * width - size
     vals = _unpack(f.bits, n)
     vertices = np.arange(size)
     alphas = vertices[:, None]
-    best_key, best = None, None
+    best = None
     for sigma in permutations(range(n)):
-        # Packed in reverse, vertex 0 is the key's most significant bit.
-        packed = _pack(vals[_permute_mask(sigma, vertices) ^ alphas][:, ::-1])
-        for alpha in range(size):
-            key = (packed >> (alpha * size)) & full
-            if best_key is None or key < best_key:
-                best_key, best = key, (1, alpha, sigma)
-            if key ^ full < best_key:
-                best_key, best = key ^ full, (-1, alpha, sigma)
-    epsilon, alpha, sigma = best
-    rep = cs.TruthTable(n, _pack(_unpack(best_key, n)[::-1]))
-    return rep, cs.SignedAutomorphism(n, epsilon, alpha, sigma)
+        rows = np.packbits(vals[_permute_mask(sigma, vertices) ^ alphas], axis=1)
+        # One bytes object per row.
+        keys = rows.view(f"V{width}").ravel().tolist()
+        low, high = min(keys), max(keys)
+        # (key, alpha, 0 for epsilon = +1 and 1 for -1)
+        cand = min(
+            (int.from_bytes(low, "big") >> pad, keys.index(low), 0),
+            (full ^ (int.from_bytes(high, "big") >> pad), keys.index(high), 1),
+        )
+        if best is None or cand[0] < best[0][0]:
+            best = cand, sigma
+    (key, alpha, minus), sigma = best
+    rep = cs.TruthTable(n, _pack(_unpack(key, n)[::-1]))
+    return rep, cs.SignedAutomorphism(n, -1 if minus else 1, alpha, sigma)
 
 
 def test_canonical_form_matches_loop_reference():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import cubestable as cs
 from cubestable import serialize
 from cubestable.core import mask_from_indices
 from cubestable.errors import DimensionTooLarge, IndexOverflow
+from cubestable.scenery import SceneryDistribution
 
 
 def test_truth_table_roundtrip():
@@ -155,7 +157,7 @@ def test_word_strings():
 
 def test_scenery_roundtrip():
     d = cs.markov_scenery(4, 1, 2)
-    doc = serialize.scenery_to_json(d)
+    doc = json.loads(serialize.scenery_text(d))
     assert doc["L"] == 2
     assert doc["probs"]["+++"] == "9/32"
     assert list(doc["probs"]) == sorted(doc["probs"])
@@ -192,12 +194,45 @@ def test_scenery_json_matches_reference_formatter():
     cases += [(f, 10) for f in rng.sample(kfunctions, 20)]
     cases.append((cs.TruthTable.constant(8, 1), 11))
     cases.append((cs.TruthTable(7, rng.getrandbits(1 << 7)), 12))
+    # The -1 vertices all of even weight: no two are neighbours, so no word
+    # reads "--" and those words are dropped.
+    even = sum(1 << v for v in range(128) if v.bit_count() % 2 == 0)
+    cases.append((cs.TruthTable(7, rng.getrandbits(1 << 7) & even), 12))
     laws = [cs.exact_scenery(f, L) for f, L in cases]
+    assert 0 < len(laws[-1].weights) < 1 << 13
     laws += [cs.markov_scenery(n, k, L) for n in (1, 4, 30) for k in (1, n) for L in (0, 3)]
-    for d in laws:
-        doc = serialize.scenery_to_json(d)
-        assert serialize.dumps(doc) == serialize.dumps(reference_scenery_json(d))
-        assert list(doc["probs"]) == sorted(doc["probs"])
+    # At L = 62 every code bit is used, and a norm past int64 makes the
+    # constructor hold its weights as Python ints.
+    rng62 = random.Random(62)
+    words = [tuple(rng62.choice((1, -1)) for _ in range(63)) for _ in range(5)]
+    words += [(1,) * 63, (-1,) * 63]
+    probs = {w: Fraction(i + 1, 3**50) for i, w in enumerate(words)}
+    probs[words[0]] = 1 - Fraction(27, 3**50)
+    hand = SceneryDistribution(9, 62, probs)
+    assert hand.norm > 1 << 63 and hand.total() == 1
+    laws += [hand, SceneryDistribution(3, 2, {})]
+    refs = [reference_scenery_json(d) for d in laws]
+    for d, ref in zip(laws, refs):
+        text = serialize.scenery_text(d)
+        assert text == serialize.dumps(ref)
+        assert list(json.loads(text)["probs"]) == sorted(ref["probs"])
+    # Each law beside the next, and the last beside the first.
+    pairs = zip(laws, refs, laws[1:] + laws[:1], refs[1:] + refs[:1])
+    for d, ref, other, other_ref in pairs:
+        want = {**ref, "compare_probs": other_ref["probs"], "equal": d == other}
+        assert serialize.scenery_text(d, other) == serialize.dumps(want)
+
+
+def test_scenery_text_exact_bytes():
+    # A constant's one word has probability 1.
+    law = cs.exact_scenery(cs.TruthTable.constant(3, 1), 0)
+    assert serialize.scenery_text(law) == '{"L":0,"probs":{"+":"1/1"}}'
+    assert serialize.scenery_text(SceneryDistribution(3, 2, {})) == '{"L":2,"probs":{}}'
+    law = cs.markov_scenery(2, 1, 1)
+    assert serialize.scenery_text(law, law) == (
+        '{"L":1,"compare_probs":{"++":"1/4","+-":"1/4","-+":"1/4","--":"1/4"},'
+        '"equal":true,"probs":{"++":"1/4","+-":"1/4","-+":"1/4","--":"1/4"}}'
+    )
 
 
 @pytest.mark.parametrize(
@@ -209,8 +244,19 @@ def test_scenery_json_matches_reference_formatter():
         {"L": 1, "probs": {"+-": "-1/2", "-+": "3/2"}},
         {"L": 1, "probs": {"+-": " 1/2", "-+": "1/2"}},
         {"L": 63, "probs": {}},
+        {"L": 1, "probs": {"++": "1/2"}},
+        {"L": 1, "probs": {}},
     ],
-    ids=["zero_denominator", "bool_L", "float_L", "negative", "whitespace", "long_L"],
+    ids=[
+        "zero_denominator",
+        "bool_L",
+        "float_L",
+        "negative",
+        "whitespace",
+        "long_L",
+        "sums_to_half",
+        "empty",
+    ],
 )
 def test_scenery_from_json_refuses(doc):
     with pytest.raises(ValueError):
@@ -223,6 +269,6 @@ def test_dumps_is_canonical():
 
 def test_scenery_probs_exact():
     d = cs.exact_scenery(cs.TruthTable.dictator(2, 1), 1)
-    doc = serialize.scenery_to_json(d)
+    doc = json.loads(serialize.scenery_text(d))
     assert doc["probs"] == {"++": "1/4", "+-": "1/4", "-+": "1/4", "--": "1/4"}
     assert serialize.scenery_from_json(doc, 2).probability((1, 1)) == Fraction(1, 4)
