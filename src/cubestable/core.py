@@ -90,7 +90,7 @@ class TruthTable:
     ``bits`` has bit v set iff f(v) = -1, so the all-+1 constant is 0.
     """
 
-    __slots__ = ("n", "bits", "_spectrum")
+    __slots__ = ("n", "bits", "_spectrum", "_part")
 
     n: int
     bits: int
@@ -103,6 +103,14 @@ class TruthTable:
         self.n = n
         self.bits = bits
         self._spectrum: Spectrum | None = None
+        self._part: tuple[int, int] | None = None
+
+    def _relevant_part(self) -> tuple[int, int]:
+        """:func:`_constant_coordinates` of the table, cached: the
+        coordinates f does not depend on, and f on the others."""
+        if self._part is None:
+            self._part = _constant_coordinates(self.bits, self.n)
+        return self._part
 
     @classmethod
     def constant(cls, n: int, value: int = 1) -> "TruthTable":
@@ -584,45 +592,94 @@ def _disagreements(
 _WORD_HALVES = _half_masks(6)
 
 
-def _constant_coordinates(bits: int, n: int) -> int:
-    """The coordinates a packed table on Q_n does not depend on, as a mask:
-    bit j is set iff f(v) == f(v ^ 2**j) for every v.  :func:`wht`
-    transforms only the other coordinates.
+def _constant_coordinates(bits: int, n: int) -> tuple[int, int]:
+    """The coordinates a packed table on Q_n does not depend on, and the
+    table on the others.
+
+    The first value is a mask: bit j is set iff f(v) == f(v ^ 2**j) for
+    every v.  The second is f at x_j = +1 for every such j: a packed table
+    on Q_|R| over the relevant coordinates R, lowest first, as
+    :func:`_within` lays them out (``bits`` itself when R is every
+    coordinate).  :func:`wht` and :func:`.kfunctions.uniform_flip_count`
+    run on it.
 
     The first 64 vertices, a Q_6 table, rule out almost every coordinate of
     a table that depends on all of them: j < 6 within that word, j >= 6 by
-    comparing it with the word 2**j vertices on.  Only if a coordinate is
-    left standing is the whole table scanned, as uint64 words: j < 6 by
-    :func:`_disagreements` with its Q_6 masks, j >= 6 by comparing the
-    words 2**(j - 6) apart.  So no mask of 2**n bits is built, and for
-    n <= 6 the first word is the whole table.
+    comparing it with the word 2**j vertices on.  For n <= 6 that word is
+    the whole table.  Past it, the candidates left standing are checked
+    together: the table restricted to the other coordinates, broadcast
+    back over the candidates, must equal the table word for word.  Only if
+    it does not is the whole table scanned coordinate by coordinate, as
+    uint64 words: j < 6 by :func:`_disagreements` with its Q_6 masks,
+    j >= 6 by comparing the words 2**(j - 6) apart.  So no mask of 2**n
+    bits is built.
     """
     low = bits & 0xFFFF_FFFF_FFFF_FFFF
     same = 0
     # The loop of _disagreements(low, min(n, 6)), inlined: it runs on every
-    # wht, where the generator would cost about as much as the test.
+    # table, where the generator would cost about as much as the test.
     for b, half in _WORD_HALVES[:n]:
         if not (low ^ (low >> b)) & half:
             same |= b
-    if n > 6:
-        raw = bits.to_bytes(1 << (n - 3), "little")
-        head = raw[:8]
-        for j in range(6, n):
-            at = 1 << (j - 3)
-            if raw[at : at + 8] == head:
-                same |= 1 << j
+    if n <= 6:
         if same:
-            words = np.frombuffer(raw, "<u8")
-            if same & 0x3F:
-                for b, d in _disagreements(words, 6):
-                    if same & b and d.any():
-                        same ^= b
-            for j in range(6, n):
-                if same >> j & 1:
-                    pairs = words.reshape(-1, 2, 1 << (j - 6))
-                    if not np.array_equal(pairs[:, 0], pairs[:, 1]):
-                        same ^= 1 << j
-    return same
+            # The kept positions below 2**n lead the word's.
+            kept = _kept_bits(same)[: 1 << (n - same.bit_count())]
+            bits = _pack(_unpack(bits, n)[kept])
+        return same, bits
+    raw = bits.to_bytes(1 << (n - 3), "little")
+    head = raw[:8]
+    for j in range(6, n):
+        at = 1 << (j - 3)
+        if raw[at : at + 8] == head:
+            same |= 1 << j
+    if not same:
+        return 0, bits
+    words = np.frombuffer(raw, "<u8")
+    part = _word_axes(words, n, same)
+    # The restriction broadcast back over the candidates: length-1 axes for
+    # j >= 6, and within a word each bit a copy of the one with every
+    # candidate j < 6 clear.  A one-word restriction is word 0, which the
+    # candidates j < 6 were found on.
+    back = part
+    if part.size > 1:
+        for b, half in _WORD_HALVES:
+            if same & b:
+                back = back & np.uint64(half)
+                back |= back << np.uint64(b)
+    if not (words.reshape((2,) * (n - 6)) == back).all():
+        if same & 0x3F:
+            for b, d in _disagreements(words, 6):
+                if same & b and d.any():
+                    same ^= b
+        for j in range(6, n):
+            if same >> j & 1:
+                pairs = words.reshape(-1, 2, 1 << (j - 6))
+                if not np.array_equal(pairs[:, 0], pairs[:, 1]):
+                    same ^= 1 << j
+        part = _word_axes(words, n, same)
+    if same & 0x3F:
+        return same, _pack(_unpack(part.ravel(), 6)[:, _kept_bits(same & 0x3F)])
+    return same, int.from_bytes(part.tobytes(), "little")
+
+
+@lru_cache(maxsize=None)
+def _kept_bits(skip: int) -> np.ndarray:
+    """The positions within a 64-vertex word whose bits in ``skip`` (a mask
+    below 2**6) are clear, ascending."""
+    kept = np.flatnonzero(np.arange(64) & skip == 0)
+    kept.flags.writeable = False
+    return kept
+
+
+def _word_axes(words: np.ndarray, n: int, skip: int) -> np.ndarray:
+    """The 2**(n - 6) words of a table on Q_n shaped (2,) * (n - 6), axis i
+    for coordinate n - 1 - i, each coordinate j >= 6 in ``skip`` cut to its
+    x_j = +1 half as an axis of length 1."""
+    keep = tuple(
+        slice(0, 1) if skip >> j & 1 else slice(None) for j in range(n - 1, 5, -1)
+    )
+    return words.reshape((2,) * (n - 6))[keep]
 
 
 def _within(a: np.ndarray, n: int, skip: int) -> np.ndarray:
@@ -646,26 +703,24 @@ def wht(f: TruthTable) -> Spectrum:
     ``wht(f).coeffs[S] == sum(f(v) * chi_S(v) for v) == 2**n * fhat(S)``.
     The result is cached on the table.
 
-    Only the coordinates R that f depends on are transformed.  f restricted
-    to x_j = +1 for every j outside R (:func:`_constant_coordinates`) is a
-    table on Q_|R|; its spectrum, times 2**(n - |R|), gives the
-    coefficients of the masks within R, and every other coefficient is 0.
-    The cost is that scan plus 2**|R| * |R| butterfly updates, and, when
-    |R| < n, one zeroed array of 2**n entries to scatter into.  A table
-    that depends on every coordinate takes the full butterfly with no copy
-    and no scatter.
+    Only the coordinates R that f depends on are transformed: the butterfly
+    runs on f restricted to x_j = +1 for every j outside R, the table on
+    Q_|R| that :func:`_constant_coordinates` gives (kept on ``f``, so a
+    flip count of f made it already).  Its spectrum, times 2**(n - |R|),
+    gives the coefficients of the masks within R, and every other
+    coefficient is 0.  The cost is that scan plus 2**|R| * |R| butterfly
+    updates, and, when |R| < n, one zeroed array of 2**n entries to
+    scatter into.  A table that depends on every coordinate takes the full
+    butterfly with no scatter.
     """
     if f._spectrum is not None:
         return f._spectrum
     n = f.n
-    skip = _constant_coordinates(f.bits, n)
-    u = _unpack(f.bits, n)
-    if skip:
-        u = _within(u, n, skip).ravel()
+    skip, part = f._relevant_part()
     # The butterfly runs on the bits u = (1 - f) / 2 themselves, so no
     # full pass maps them to +/-1: wht(f) = 2**n * [S = 0] - 2 * wht(u),
     # and each coefficient on Q_|R| stands for 2**(n - |R|) on Q_n.
-    a = u.astype(np.int64)
+    a = _unpack(part, n - skip.bit_count()).astype(np.int64)
     _butterfly(a)
     a *= -2 << skip.bit_count()
     a[0] += 1 << n

@@ -101,10 +101,22 @@ def _permute_mask(sigma: tuple[int, ...], mask: int | np.ndarray) -> int | np.nd
 
 
 def apply(a: SignedAutomorphism, f: TruthTable) -> TruthTable:
-    """The table of epsilon * f(phi(.))."""
+    """The table of epsilon * f(phi(.)).
+
+    phi is built over all 2**n vertices by doubling: phi(0) = alpha, and
+    setting input bit s sets output bit j where sigma[j] = s, so the
+    vertices 2**s .. 2**(s+1) - 1 map to those below 2**s with that bit
+    flipped, one slice operation per coordinate."""
     if a.n != f.n:
         raise DimensionMismatch(f"automorphism on Q_{a.n}, table on Q_{f.n}")
-    vals = _unpack(f.bits, f.n)[a.vertex_map(np.arange(1 << f.n))]
+    inv = [0] * a.n
+    for j, s in enumerate(a.sigma):
+        inv[s] = j
+    phi = np.empty(1 << f.n, dtype=np.intp)
+    phi[0] = a.alpha
+    for s, j in enumerate(inv):
+        phi[1 << s : 2 << s] = phi[: 1 << s] ^ (1 << j)
+    vals = _unpack(f.bits, f.n)[phi]
     if a.epsilon == -1:
         vals ^= 1
     return TruthTable(f.n, _pack(vals))

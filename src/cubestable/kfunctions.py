@@ -107,9 +107,13 @@ def uniform_flip_count(f: TruthTable) -> int:
     """The common flip count if f is a k-function for some k, else -1.
 
     A table can be a k-function for at most one k, so this single scan
-    answers is_k_function_direct for every k at once.
+    answers is_k_function_direct for every k at once.  It counts flips on
+    f restricted to its relevant coordinates (kept on ``f``, where
+    :func:`wht` reads it too): a coordinate f does not depend on adds no
+    disagreement at any vertex, so every count, and k, is the same.
     """
-    return int(_uniform_flips(f.bits, f.n))
+    skip, part = f._relevant_part()
+    return int(_uniform_flips(part, f.n - skip.bit_count()))
 
 
 def is_k_function_direct(f: TruthTable, k: int) -> bool:

@@ -64,22 +64,25 @@ class SceneryDistribution:
     """Exact distribution over +/-1 words of length L+1.
 
     ``codes`` is a read-only int64 array of the ascending codes of the words
-    of positive probability (bit L - i set when letter i is -1),
-    ``weights`` a tuple of positive Python ints, one per code, and the
-    probability of word ``codes[r]`` is ``weights[r] / norm``.  Weights and
-    ``norm`` share no common factor, so equal distributions have equal
-    fields.  ``probs`` builds the ``{word: Fraction}`` mapping on access,
-    and ``probability`` finds one word's code by binary search.  The
-    constructor takes such a mapping for any L up to ``MAX_CODE_STEPS``,
-    omits its zero entries and rejects negative ones.
+    of positive probability (bit L - i set when letter i is -1), and the
+    probability of word ``codes[r]`` is its weight over ``norm``: each
+    weight is a positive integer, and the weights and ``norm`` share no
+    common factor, so equal distributions have equal fields.  The weights
+    are kept as one read-only array, int64 whenever every weight fits (a
+    walk DP's law always does) and Python ints (an object array) when one
+    does not; ``weights`` gives them as a tuple of Python ints.  ``probs``
+    builds the ``{word: Fraction}`` mapping on access, and ``probability``
+    finds one word's code by binary search.  The constructor takes such a
+    mapping for any L up to ``MAX_CODE_STEPS``, omits its zero entries and
+    rejects negative ones.
     """
 
-    __slots__ = ("n", "L", "codes", "weights", "norm")
+    __slots__ = ("n", "L", "codes", "_w", "norm")
 
     n: int
     L: int
     codes: np.ndarray
-    weights: tuple[int, ...]
+    _w: np.ndarray
     norm: int
 
     def __init__(self, n: int, L: int, probs: Mapping[Word, Fraction]):
@@ -108,37 +111,48 @@ class SceneryDistribution:
     ) -> None:
         """Store ascending codes and their positive weights over ``norm``,
         divided by their common gcd.  ``weights`` is an int64 array, or an
-        object array of Python ints where int64 could overflow."""
+        object array of Python ints where int64 could overflow; the latter
+        is narrowed to int64 when every weight, once divided, fits."""
         g = gcd(norm, int(np.gcd.reduce(weights)))
+        weights = weights // g
+        if weights.dtype == object and max(weights.tolist(), default=0) < 1 << 63:
+            weights = weights.astype(np.int64)
         codes.flags.writeable = False
+        weights.flags.writeable = False
         self.n = n
         self.L = L
         self.codes = codes
-        self.weights = tuple((weights // g).tolist())
+        self._w = weights
         self.norm = norm // g
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """The weights as Python ints, one per code."""
+        return tuple(self._w.tolist())
 
     def _minus_bits(self) -> np.ndarray:
         """Row r holds the L+1 letters of word ``codes[r]``, first letter
-        first: 1 for -1 and 0 for +1."""
-        return (self.codes[:, None] >> np.arange(self.L, -1, -1)) & 1
+        first, as uint8: 1 for -1 and 0 for +1.  One unpack of the codes'
+        big-endian bytes puts bit 63 - c of each code in column c."""
+        bits = np.unpackbits(self.codes.astype(">u8").view(np.uint8))
+        return bits.reshape(-1, 64)[:, 63 - self.L :]
 
-    def _weight_classes(self) -> tuple[list[int], list[int]]:
-        """The distinct weights, in order of first use, and for every word
-        in code order the position of its weight among them.  A
+    def _weight_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct weights, ascending, and for every word in code order
+        the index of its weight among them, from one ``np.unique``.  A
         k-function's law has at most L + 1 distinct weights, so whatever is
         made of a weight is made once for each of them."""
-        position = {w: i for i, w in enumerate(dict.fromkeys(self.weights))}
-        return list(position), list(map(position.__getitem__, self.weights))
+        return np.unique(self._w, return_inverse=True)
 
     @property
     def probs(self) -> dict[Word, Fraction]:
         distinct, classes = self._weight_classes()
-        shared = [Fraction(w, self.norm) for w in distinct]
-        words = map(tuple, (1 - 2 * self._minus_bits()).tolist())
-        return dict(zip(words, map(shared.__getitem__, classes)))
+        shared = [Fraction(w, self.norm) for w in distinct.tolist()]
+        words = map(tuple, (1 - 2 * self._minus_bits().astype(np.int8)).tolist())
+        return dict(zip(words, map(shared.__getitem__, classes.tolist())))
 
     def total(self) -> Fraction:
-        return Fraction(sum(self.weights), self.norm)
+        return Fraction(sum(self._w.tolist()), self.norm)
 
     def probability(self, word: Word) -> Fraction:
         word = tuple(word)
@@ -146,21 +160,21 @@ class SceneryDistribution:
             return Fraction(0)
         code = _code(word, self.L)
         r = int(np.searchsorted(self.codes, code))
-        if r < len(self.weights) and self.codes[r] == code:
-            return Fraction(self.weights[r], self.norm)
+        if r < len(self.codes) and self.codes[r] == code:
+            return Fraction(int(self._w[r]), self.norm)
         return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SceneryDistribution):
             return NotImplemented
         return (
-            (self.n, self.L, self.norm, self.weights)
-            == (other.n, other.L, other.norm, other.weights)
+            (self.n, self.L, self.norm) == (other.n, other.L, other.norm)
             and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self._w, other._w)
         )
 
     def __repr__(self) -> str:
-        return f"SceneryDistribution(n={self.n}, L={self.L}, words={len(self.weights)})"
+        return f"SceneryDistribution(n={self.n}, L={self.L}, words={len(self.codes)})"
 
 
 def _check_scenery_size(n: int, L: int) -> None:

@@ -192,12 +192,15 @@ def _probs_text(dist: SceneryDistribution) -> str:
     """The law's ``probs`` object as canonical JSON, one uint8 row per word.
 
     Row r holds '"', the word's letters, '":"', its ratio padded with zero
-    bytes to the widest ratio, and '",'.  Each distinct ratio is formatted
-    once; the codes ascend, so the words come out in sorted order."""
-    if not dist.weights:
+    bytes to the widest ratio, and '",'.  The letters come from one unpack
+    of the codes into uint8, and the ratios from the weight array as it is
+    (int64, or Python ints past it): ``np.unique`` gives each word's
+    weight class, and each distinct ratio is formatted once.  The codes
+    ascend, so the words come out in sorted order."""
+    if not len(dist.codes):
         return "{}"
     distinct, classes = dist._weight_classes()
-    ratios = (Fraction(w, dist.norm) for w in distinct)
+    ratios = (Fraction(w, dist.norm) for w in distinct.tolist())
     # numpy's S dtype pads every ratio with zero bytes to the widest.
     table = np.array([f"{p.numerator}/{p.denominator}" for p in ratios], dtype="S")
     table = table.view(np.uint8).reshape(len(distinct), -1)

@@ -24,3 +24,18 @@ def two_function_q4(kfn):
     h = cs.lift_pair(cs.TruthTable.dictator(2, 1), cs.TruthTable.dictator(2, 2))
     assert isinstance(h, cs.TruthTable)
     return h
+
+
+@pytest.fixture(scope="session")
+def scatter():
+    """scatter(f, n, rng): f padded to Q_n, its coordinates moved by a
+    random signed automorphism, so its relevant ones are not the lowest."""
+    import cubestable as cs
+
+    def scattered(f: TruthTable, n: int, rng) -> TruthTable:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        a = cs.SignedAutomorphism(n, rng.choice((1, -1)), rng.getrandbits(n), tuple(perm))
+        return cs.apply(a, cs.pad_to(f, n))
+
+    return scattered

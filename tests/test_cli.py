@@ -287,6 +287,21 @@ def test_construct_lemma7_verify_on_q16(capsys, tmp_path):
     assert cert["ok"] is True and cert["k"] == 3 == cs.uniform_flip_count(h)
 
 
+@pytest.mark.parametrize("n", (14, 16, 18))
+def test_lift_and_certificate_on_the_restriction(n, scatter):
+    # lift_pair checks f, g and h by flip counts on their restrictions, and
+    # the certificate transforms h's restriction; both against h's full
+    # table.  The inputs are Q_4 and Q_5 k-functions, padded to Q_{n-2} and
+    # scattered.
+    rng = random.Random(n)
+    for k in (1, 2, 3):
+        pool = list(cs.enumerate_spectral(4, k)) + list(cs.enumerate_spectral(5, k))[:40]
+        for _ in range(2):
+            h = cs.lift_pair(*(scatter(rng.choice(pool), n - 2, rng) for _ in range(2)))
+            assert kfunctions._uniform_flips(h.bits, n) == k + 1
+            assert cli._spectral_certificate(h) == independent_certificate(h)
+
+
 def full_scan_certificate(h: cs.TruthTable) -> dict:
     """The reference route for a table's certificate: one scan of all 2**n
     coefficients of wht(h), with the masks themselves."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cubestable as cs
-from cubestable import core, serialize
+from cubestable import core, kfunctions, serialize
 from cubestable.core import _sparse_numerators
 from cubestable.errors import (
     DimensionTooLarge,
@@ -76,6 +76,14 @@ def junta(n: int, coords: list[int], rng: random.Random) -> cs.TruthTable:
     return cs.TruthTable(n, core._pack(core._unpack(g.bits, r)[at]))
 
 
+def reference_part(f: cs.TruthTable, skip: int) -> int:
+    """f at x_j = +1 for every coordinate j in ``skip``, packed on the other
+    coordinates, lowest first: the 2**n unpacked table read through
+    ``_within``."""
+    kept = core._within(core._unpack(f.bits, f.n), f.n, skip).ravel()
+    return core._pack(kept)
+
+
 def tensor_wht(f: cs.TruthTable) -> list[int]:
     """The transform as one 2-point sum and difference along each axis of
     the (2,) * n view: a second oracle, no butterfly, for n up to 12."""
@@ -101,7 +109,10 @@ def test_wht_on_juntas_matches_the_defining_sum():
         for coords in junta_coordinate_sets(n, rng):
             f = junta(n, coords, rng)
             mask = sum(1 << j for j in coords)
-            assert core._constant_coordinates(f.bits, n) == ((1 << n) - 1) ^ mask
+            assert core._constant_coordinates(f.bits, n) == (
+                ((1 << n) - 1) ^ mask,
+                reference_part(f, ((1 << n) - 1) ^ mask),
+            )
             spectrum = cs.wht(f)
             want = naive_wht(f) if n <= 7 else tensor_wht(f)
             assert list(spectrum.coeffs) == want, (n, coords)
@@ -142,23 +153,62 @@ def test_constant_coordinates_scan_past_the_first_word():
         full = (1 << n) - 1
         for v in (full, 1 << (n - 1), 3 << (n - 2)):
             f = cs.TruthTable(n, g.bits ^ (1 << v))
-            assert core._constant_coordinates(f.bits, n) == 0
+            assert core._constant_coordinates(f.bits, n) == (0, f.bits)
             assert list(cs.wht(f).coeffs) == tensor_wht(f)
         # Flipping a vertex and its neighbour across coordinate j keeps j out.
         j = next(j for j in range(n) if j not in coords)
         v = rng.randrange(1 << n)
         f = cs.TruthTable(n, g.bits ^ (1 << v) ^ (1 << (v ^ (1 << j))))
-        assert core._constant_coordinates(f.bits, n) == 1 << j
+        assert core._constant_coordinates(f.bits, n) == (1 << j, reference_part(f, 1 << j))
         assert list(cs.wht(f).coeffs) == tensor_wht(f)
+
+
+def full_table_constant_coordinates(f: cs.TruthTable) -> int:
+    """The coordinates f does not depend on, by comparing the unpacked
+    table with itself read across each coordinate: no word scan."""
+    u = core._unpack(f.bits, f.n)
+    v = np.arange(1 << f.n)
+    return sum(1 << j for j in range(f.n) if (u == u[v ^ (1 << j)]).all())
+
+
+@pytest.mark.parametrize("n", range(7, 19))
+def test_restriction_of_scattered_juntas(n, scatter):
+    # Random Q_1..Q_5 tables and Q_4 k-functions, padded and scattered, and
+    # variants that the first word and the broadcast check cannot settle: a
+    # vertex flipped far from vertex 0 (every coordinate relevant), and a
+    # vertex flipped with its neighbour across a constant coordinate j
+    # (only j constant).
+    rng = random.Random(27 + n)
+    small = [cs.TruthTable(r, rng.getrandbits(1 << r)) for r in range(1, 6)]
+    small += [rng.choice(list(cs.enumerate_spectral(4, k))) for k in (1, 2, 3)]
+    small.append(cs.TruthTable.constant(2, -1))
+    tables = []
+    for g in small:
+        f = scatter(g, n, rng)
+        tables.append(f)
+        far = (1 << n) - 1 - rng.randrange(1 << (n - 2))
+        tables.append(cs.TruthTable(n, f.bits ^ 1 << far))
+        skip = full_table_constant_coordinates(f)
+        j = rng.choice([j for j in range(n) if skip >> j & 1])
+        v = rng.randrange(1 << n)
+        tables.append(cs.TruthTable(n, f.bits ^ 1 << v ^ 1 << (v ^ 1 << j)))
+    for f in tables:
+        skip = full_table_constant_coordinates(f)
+        assert core._constant_coordinates(f.bits, n) == (skip, reference_part(f, skip))
+        assert cs.uniform_flip_count(f) == int(kfunctions._uniform_flips(f.bits, n))
+    assert {cs.uniform_flip_count(f) for f in tables} >= {-1, 1, 2, 3}
 
 
 def test_wht_caches_no_mask_of_the_table_size():
     # The scan uses only Q_6 masks, even where it falls back to the whole
-    # table; a 2**n-bit mask per coordinate would stay in the cache.
+    # table; a 2**n-bit mask per coordinate would stay in the cache.  The
+    # last table, a junta with its last vertex flipped, takes the fallback.
     core._half_masks.cache_clear()
     rng = random.Random(22)
-    for n, coords in ((14, [0, 3, 9]), (14, list(range(14))), (13, [])):
-        cs.wht(junta(n, coords, rng))
+    tables = [junta(n, c, rng) for n, c in ((14, [0, 3, 9]), (14, list(range(14))), (13, []))]
+    tables.append(cs.TruthTable(14, junta(14, [0, 3, 9], rng).bits ^ 1 << (1 << 14) - 1))
+    for f in tables:
+        cs.wht(f)
     assert core._half_masks.cache_info().currsize == 1
 
 

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cubestable as cs
@@ -221,6 +222,40 @@ def test_scenery_json_matches_reference_formatter():
     for d, ref, other, other_ref in pairs:
         want = {**ref, "compare_probs": other_ref["probs"], "equal": d == other}
         assert serialize.scenery_text(d, other) == serialize.dumps(want)
+
+
+def test_scenery_writer_at_the_weight_dtype_boundary():
+    # The writer reads a law's weight array as it is: int64 up to the DP's
+    # largest weights, Python ints past int64.  Each line must equal the
+    # reference formatter's.
+    rng = random.Random(41)
+    # Under the two DP ceilings the largest norm is 2**8 * 8**11 = 2**41,
+    # before the weights' common factor is divided out.
+    dp = cs.exact_scenery(cs.TruthTable(8, rng.getrandbits(1 << 8)), 11)
+    assert (1 << 41) % dp.norm == 0 and dp.norm >= 1 << 40
+    assert dp._w.dtype == np.int64
+    # The closed form's largest weight (n - 1)**12 at k = 1: 38**12 < 2**63,
+    # 39**12 > 2**63.
+    fits, past = cs.markov_scenery(39, 1, 12), cs.markov_scenery(40, 1, 12)
+    assert fits._w.dtype == np.int64 and max(fits.weights) == 38**12
+    assert past._w.dtype == object and max(past.weights) == 39**12
+    # L = 62 uses every code bit; a norm of 3**50 is past int64.
+    words = [tuple(rng.choice((1, -1)) for _ in range(63)) for _ in range(5)]
+    probs = {w: Fraction(i + 1, 3**50) for i, w in enumerate(words)}
+    probs[(-1,) * 63] = 1 - Fraction(15, 3**50)
+    hand = SceneryDistribution(9, 62, probs)
+    assert hand._w.dtype == object and hand.norm == 3**50
+    for d in (dp, fits, past, hand):
+        assert serialize.scenery_text(d) == serialize.dumps(reference_scenery_json(d))
+        assert type(d.weights) is tuple and {type(w) for w in d.weights} == {int}
+        assert not d._w.flags.writeable
+    # markov_scenery builds its weights as Python ints; once they are
+    # narrowed to int64 its law equals the DP's field by field.
+    f = next(cs.enumerate_spectral(5, 2))
+    law, chain = cs.exact_scenery(f, 10), cs.markov_scenery(5, 2, 10)
+    assert law._w.dtype == chain._w.dtype == np.int64
+    assert law == chain and law.weights == chain.weights
+    assert serialize.scenery_text(law, chain) == serialize.scenery_text(chain, law)
 
 
 def test_scenery_text_exact_bytes():
