@@ -13,9 +13,10 @@ Conventions, used consistently across the whole package:
   ``coeffs[S] = 2**n * fhat(S)`` in one read-only numpy array (int64, or
   Python ints past int64) and scans it with numpy reductions; ``coeffs``
   gives them as Python ints.  For a +/-1-valued f, Parseval reads
-  ``sum(c*c for c in coeffs) == 4**n`` exactly.  A spectrum from :func:`wht`
-  also records the coordinates f does not depend on, and its support scans
-  read only the 2**|R| coefficients on its relevant coordinates R.
+  ``sum(c*c for c in coeffs) == 4**n`` exactly.  Each call of :func:`wht`
+  builds a new spectrum that records the coordinates f does not depend on,
+  and its support scans read only the 2**|R| coefficients on its relevant
+  coordinates R.
 * A :class:`SparsePolynomial` stores only nonzero coefficients, each as a
   dyadic rational ``num / 2**log2_den`` keyed by its mask.  Masks may use
   variable indices up to 64, independent of any ambient n.
@@ -24,16 +25,17 @@ Values at the API are integers and Fractions.  The one float computation,
 the matrix product that packs group images in :mod:`.group`, holds only
 integers below 2**53, where float64 is exact.
 
-All three classes are immutable after construction (private caches on
-TruthTable and SparsePolynomial are filled in lazily but never change an
-observable value), so instances can be shared freely across threads.
+All three classes are immutable after construction (a TruthTable's
+restriction to its relevant coordinates and a Spectrum's support are filled
+in lazily but never change an observable value; a SparsePolynomial holds
+its terms only), so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -90,7 +92,7 @@ class TruthTable:
     ``bits`` has bit v set iff f(v) = -1, so the all-+1 constant is 0.
     """
 
-    __slots__ = ("n", "bits", "_spectrum", "_part")
+    __slots__ = ("n", "bits", "_part")
 
     n: int
     bits: int
@@ -102,7 +104,6 @@ class TruthTable:
             raise ValueError(f"truth table bits out of range for n={n}")
         self.n = n
         self.bits = bits
-        self._spectrum: Spectrum | None = None
         self._part: tuple[int, int] | None = None
 
     def _relevant_part(self) -> tuple[int, int]:
@@ -181,8 +182,9 @@ class Spectrum:
     ``coeffs[S] = 2**n * fhat(S)``, indexed by subset mask, held in one
     read-only array: int64 if every coefficient fits, else Python ints.
     Every coefficient on a mask that meets the private coordinate mask
-    ``_skip`` is zero: :func:`wht` and :func:`spectrum_from_sparse` set it
-    to the coordinates the function does not use, the constructor to 0.
+    ``_skip`` is zero: :func:`wht` sets it to the coordinates the function
+    does not use, and every other spectrum has it 0.  The support is
+    scanned on its first read and kept in ``_support``.
     """
 
     __slots__ = ("n", "_a", "_skip", "_support")
@@ -280,31 +282,6 @@ def _normalize_term(num: int, log2_den: int) -> tuple[int, int]:
     return num >> s, log2_den - s
 
 
-class _IntegerForm(NamedTuple):
-    """A polynomial's terms as bits of a bitset, grouped by their numerator
-    at the scale 2**top.
-
-    Term t is bit t % 64 of word t // 64, and one spare zero word ends the
-    bitset.  Row i of ``uses`` is the bitset of the terms whose mask has bit
-    i, for i below the bit length of ``relevant`` (at least one row).  The
-    terms whose coefficient is ``values[g] / 2**top`` are a run of
-    ``sizes[g]`` bits, the runs in group order.  Cut g is the bit where run
-    g starts, and the last cut is the term count; ``cut_word`` and
-    ``cut_high`` give each cut's word and the bits of that word at and above
-    the cut.  ``values`` holds int64 when sum(|values[g]| * sizes[g]) <
-    2**63, else Python ints (an object array), so no numerator is ever
-    narrowed.
-    """
-
-    top: int
-    relevant: int
-    uses: np.ndarray
-    values: np.ndarray
-    sizes: np.ndarray
-    cut_word: np.ndarray
-    cut_high: np.ndarray
-
-
 class SparsePolynomial:
     """A multilinear polynomial over x_1..x_64 with dyadic coefficients.
 
@@ -314,7 +291,7 @@ class SparsePolynomial:
     is a function of whichever variables it mentions.
     """
 
-    __slots__ = ("terms", "_scaled")
+    __slots__ = ("terms",)
 
     terms: dict[int, tuple[int, int]]
 
@@ -337,7 +314,6 @@ class SparsePolynomial:
             if num:
                 clean[mask] = (num, log2_den)
         self.terms = clean
-        self._scaled: _IntegerForm | None = None
 
     @classmethod
     def zero(cls) -> "SparsePolynomial":
@@ -369,39 +345,6 @@ class SparsePolynomial:
         for m in self.terms:
             out |= m
         return out
-
-    def _integer_form(self) -> _IntegerForm:
-        """The terms as integers at one scale, grouped by value, and as
-        bitsets; cached.
-
-        ``top`` is the largest log2_den (0 for no terms) and each
-        coefficient is exactly ``num_S / 2**top``, so sums over terms stay in
-        integers until one Fraction at the end.
-        """
-        if self._scaled is None:
-            top = max((a for _, a in self.terms.values()), default=0)
-            groups: dict[int, list[int]] = {}
-            for m, (num, a) in self.terms.items():
-                groups.setdefault(num << (top - a), []).append(m)
-            sizes = [len(ms) for ms in groups.values()]
-            fits = sum(abs(v) * s for v, s in zip(groups, sizes)) < 1 << 63
-            masks = np.array([m for ms in groups.values() for m in ms], dtype=np.uint64)
-            relevant = self.relevant_mask()
-            nbits = max(1, relevant.bit_length())
-            bits = np.zeros((nbits, 64 * (len(masks) // 64 + 1)), dtype=np.uint8)
-            # A mask's 64 bits unpack as a Q_6 table's do.
-            bits[:, : len(masks)] = _unpack(masks, 6)[:, :nbits].T
-            cuts = np.cumsum([0] + sizes, dtype=np.uint64)
-            self._scaled = _IntegerForm(
-                top,
-                relevant,
-                np.packbits(bits, axis=1, bitorder="little").view("<u8"),
-                np.array(list(groups), dtype=np.int64 if fits else object),
-                np.array(sizes, dtype=np.int64),
-                cuts >> 6,
-                ~np.uint64(0) << (cuts & 63),
-            )
-        return self._scaled
 
     def parseval_sum(self) -> Fraction:
         """sum of squared coefficients, exactly."""
@@ -701,7 +644,8 @@ def wht(f: TruthTable) -> Spectrum:
     """The integer-scaled Walsh-Hadamard spectrum of f.
 
     ``wht(f).coeffs[S] == sum(f(v) * chi_S(v) for v) == 2**n * fhat(S)``.
-    The result is cached on the table.
+    Each call transforms anew and returns a new spectrum, whose ``_skip``
+    records the coordinates f does not depend on.
 
     Only the coordinates R that f depends on are transformed: the butterfly
     runs on f restricted to x_j = +1 for every j outside R, the table on
@@ -713,8 +657,6 @@ def wht(f: TruthTable) -> Spectrum:
     scatter into.  A table that depends on every coordinate takes the full
     butterfly with no scatter.
     """
-    if f._spectrum is not None:
-        return f._spectrum
     n = f.n
     skip, part = f._relevant_part()
     # The butterfly runs on the bits u = (1 - f) / 2 themselves, so no
@@ -729,12 +671,11 @@ def wht(f: TruthTable) -> Spectrum:
         within = _within(full, n, skip)
         within[...] = a.reshape(within.shape)
         a = full
-    f._spectrum = Spectrum.__new__(Spectrum)._set(n, a, skip)
-    return f._spectrum
+    return Spectrum.__new__(Spectrum)._set(n, a, skip)
 
 
 def inverse_wht(s: Spectrum) -> TruthTable:
-    """The +/-1-valued function with spectrum s.
+    """The +/-1-valued function with spectrum s, as a new table.
 
     Raises :class:`NotBoolean` if the coefficients do not describe a
     +/-1-valued function.
@@ -754,9 +695,7 @@ def inverse_wht(s: Spectrum) -> TruthTable:
         raise NotBoolean(
             f"spectrum evaluates to {Fraction(int(a[v]), size)} at vertex {v}"
         )
-    table = TruthTable(s.n, _pack(a < 0))
-    table._spectrum = s
-    return table
+    return TruthTable(s.n, _pack(a < 0))
 
 
 def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
@@ -783,13 +722,22 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
 _SPARSE_PIECE = 1 << 14
 
 
-def _sparse_numerators(p: SparsePolynomial, neg: np.ndarray) -> list[int]:
-    """``2**top * p`` at each point, exactly, as Python ints.
+def _sparse_numerators(
+    p: SparsePolynomial, neg: np.ndarray
+) -> tuple[int, list[int]]:
+    """``(top, numerators)``: top is the largest log2_den of p's terms (0
+    for none), and numerators holds ``2**top * p`` at each point, exactly,
+    as Python ints.
 
     ``neg`` is a uint64 array with one point per entry: bit j set means
     x_{j+1} = -1.  Term t is negated at a point iff the point and t's mask
-    share an odd number of bits.  Each point gets the bitset of its negated
-    terms (laid out as in :class:`_IntegerForm`) from parity tables:
+    share an odd number of bits.  The terms, grouped by their numerator at
+    the scale 2**top, are the bits of a bitset, each group a run: term t is
+    bit t % 64 of word t // 64, and one spare zero word ends it.  A cut is
+    the bit where a run starts, or the term count; ``cut_word`` and
+    ``cut_high`` give its word and that word's bits at and above it.  Row i
+    of ``uses`` holds the terms whose mask has bit i.  Each point gets the
+    bitset of its negated terms from parity tables:
 
     * The point's bits are cut into windows of w bits.  Window j's table has
       one bitset per value v of the window: bit t is the parity of t's mask
@@ -806,16 +754,27 @@ def _sparse_numerators(p: SparsePolynomial, neg: np.ndarray) -> list[int]:
     in int64 when that bound is below 2**63 and in Python ints otherwise:
     the result is exact however large the numerators are.
     """
-    form = p._integer_form()
-    if not len(form.values) or not len(neg):
-        return [0] * len(neg)
-    nbits, words = form.uses.shape
+    top = max((a for _, a in p.terms.values()), default=0)
+    if not p.terms or not len(neg):
+        return top, [0] * len(neg)
+    groups: dict[int, list[int]] = {}
+    for m, (num, a) in p.terms.items():
+        groups.setdefault(num << (top - a), []).append(m)
+    sizes = [len(ms) for ms in groups.values()]
+    fits = sum(abs(v) * s for v, s in zip(groups, sizes)) < 1 << 63
+    values = np.array(list(groups), dtype=np.int64 if fits else object)
+    masks = np.array([m for ms in groups.values() for m in ms], dtype=np.uint64)
+    cuts = np.cumsum([0] + sizes, dtype=np.uint64)
+    cut_word, cut_high = cuts >> 6, ~np.uint64(0) << (cuts & 63)
+    nbits, words = max(1, p.relevant_mask().bit_length()), len(masks) // 64 + 1
     w = min(8, max(1, len(neg).bit_length() - 1))
     while w > 1 and (-(-nbits // w) << w) * words > _SPARSE_PIECE:
         w -= 1
     windows = -(-nbits // w)
-    uses = np.zeros((windows * w, words), dtype=np.uint64)
-    uses[:nbits] = form.uses
+    bits = np.zeros((windows * w, 64 * words), dtype=np.uint8)
+    # A mask's 64 bits unpack as a Q_6 table's do.
+    bits[:nbits, : len(masks)] = _unpack(masks, 6)[:, :nbits].T
+    uses = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     uses = uses.reshape(windows, w, words)
     tables = np.zeros((windows, 1 << w, words), dtype=np.uint64)
     for i in range(w):
@@ -833,11 +792,11 @@ def _sparse_numerators(p: SparsePolynomial, neg: np.ndarray) -> list[int]:
         # Set bits before each cut: those of the words up to the cut's word,
         # less those of its word at and above the cut.
         upto = np.cumsum(np.bitwise_count(parity), axis=1, dtype=np.int64)
-        at_cut = parity[:, form.cut_word] & form.cut_high
-        before = upto[:, form.cut_word] - np.bitwise_count(at_cut)
-        counts = form.sizes - 2 * np.diff(before, axis=1)
-        out += (counts.astype(form.values.dtype) @ form.values).tolist()
-    return out
+        at_cut = parity[:, cut_word] & cut_high
+        before = upto[:, cut_word] - np.bitwise_count(at_cut)
+        counts = np.array(sizes, dtype=np.int64) - 2 * np.diff(before, axis=1)
+        out += (counts.astype(values.dtype) @ values).tolist()
+    return top, out
 
 
 def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fraction:
@@ -848,10 +807,11 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
     :class:`Spectrum` requires of its coefficients, and values +/-1; any
     other raises ValueError, and an index outside 1..64 IndexOverflow.
     The point goes through :func:`_sparse_numerators` as a one-entry batch,
-    which builds 2-row parity tables and sums the groups of equal scaled
-    numerators in int64 where their bound allows and in Python ints
-    otherwise, so the result is exact without any bound on the numerators.
-    The one Fraction is built at the return.
+    which builds p's term bitsets and 2-row parity tables on each call and
+    sums the groups of equal scaled numerators in int64 where their bound
+    allows and in Python ints otherwise, so the result is exact without any
+    bound on the numerators.  The one Fraction, over the scale 2**top that
+    the batch returns, is built at the return.
     """
     neg = 0
     given = 0
@@ -866,12 +826,11 @@ def evaluate_sparse(p: SparsePolynomial, assignment: Mapping[int, int]) -> Fract
         given |= bit
         if val == -1:
             neg |= bit
-    form = p._integer_form()
-    missing = form.relevant & ~given
+    missing = p.relevant_mask() & ~given
     if missing:
         raise MissingVariable(f"no value given for x_{indices_from_mask(missing)}")
-    total = _sparse_numerators(p, np.array([neg], dtype=np.uint64))[0]
-    return Fraction(total, 1 << form.top)
+    top, (total,) = _sparse_numerators(p, np.array([neg], dtype=np.uint64))
+    return Fraction(total, 1 << top)
 
 
 def sparse_from_spectrum(s: Spectrum) -> SparsePolynomial:
@@ -888,11 +847,12 @@ def spectrum_from_sparse(p: SparsePolynomial, n: int) -> Spectrum:
 
     Raises :class:`DimensionTooLarge` via the Spectrum constructor if n is
     past the dense ceiling, ValueError if p mentions a variable beyond n, or
-    :class:`NotBoolean` if a coefficient is not a multiple of 1/2**n.
+    :class:`NotBoolean` if a coefficient is not a multiple of 1/2**n.  The
+    spectrum is the constructor's, so its support scans read all 2**n
+    coefficients.
     """
     _check_dimension(n)
-    relevant = p.relevant_mask()
-    if relevant >> n:
+    if p.relevant_mask() >> n:
         raise ValueError(f"polynomial mentions variables beyond x_{n}")
     coeffs = [0] * (1 << n)
     for mask, (num, a) in p.terms.items():
@@ -901,6 +861,4 @@ def spectrum_from_sparse(p: SparsePolynomial, n: int) -> Spectrum:
                 f"coefficient {num}/2**{a} is finer than the 2**-{n} grid of Q_{n}"
             )
         coeffs[mask] = num << (n - a)
-    spectrum = Spectrum(n, coeffs)
-    spectrum._skip = ((1 << n) - 1) & ~relevant
-    return spectrum
+    return Spectrum(n, coeffs)

@@ -75,8 +75,9 @@ def function_to_json(obj: TruthTable | SparsePolynomial) -> dict[str, Any]:
                 "num": num,
                 "log2_den": log2_den,
             }
-            for mask, (num, log2_den) in sorted(obj.terms.items())
+            for mask, (num, log2_den) in obj.terms.items()
         ]
+        # Masks are distinct, so this order is total.
         terms.sort(key=lambda t: tuple(t["vars"]))
         return {
             "n": obj.relevant_mask().bit_length(),

@@ -244,9 +244,8 @@ def _c7_max_relevant(ctx: _Context) -> tuple[bool, str]:
     # Bit j of a point set means x_{j+1} = -1, so the points are uniform on
     # {+/-1}**46; p5's 46 relevant indices must all lie in 1..46.
     points = _draw_46_bits(ctx.seed, samples)
-    one = 1 << p5._integer_form().top
-    boolean = {one, -one}
-    if p5.relevant_mask() >> 46 or not set(_sparse_numerators(p5, points)) <= boolean:
+    top, values = _sparse_numerators(p5, points)
+    if p5.relevant_mask() >> 46 or not set(values) <= {1 << top, -1 << top}:
         return False, f"non-Boolean value at sampled point (seed {ctx.seed})"
     return True, (
         "relevant counts (1,4,10,22,46); supports 4**(k-1); "

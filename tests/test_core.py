@@ -118,10 +118,10 @@ def test_wht_on_juntas_matches_the_defining_sum():
             assert list(spectrum.coeffs) == want, (n, coords)
             assert spectrum._a.dtype == np.int64 and spectrum._a.shape == (1 << n,)
             assert not spectrum._a.flags.writeable
-            assert cs.wht(f) is spectrum and f._spectrum is spectrum
+            assert cs.wht(f) == spectrum
             assert cs.relevant_indices(spectrum) == {j + 1 for j in coords}
             table = cs.inverse_wht(spectrum)
-            assert table == f and table._spectrum is spectrum
+            assert table == f and cs.wht(table) == spectrum
     # n = 8 against the defining sum itself, term by term.
     for coords in ([], [0, 1, 2], [2, 5, 7], list(range(8))):
         f = junta(8, coords, rng)
@@ -566,9 +566,10 @@ def test_sparse_numerators_exact():
         (cs.max_relevant_construct(5), 46, 300),
     ]
     for p, bits, count in polys:
-        top = p._integer_form().top
         negs = [rng.getrandbits(bits) for _ in range(count)]
-        got = _sparse_numerators(p, np.array(negs, dtype=np.uint64))
+        top, got = _sparse_numerators(p, np.array(negs, dtype=np.uint64))
+        # The scale is the largest denominator, 2**0 for the zero polynomial.
+        assert top == (max(a for _, a in p.terms.values()) if p.terms else 0)
         assert all(type(v) is int for v in got)
         want = [
             fraction_evaluate(p, {i + 1: -1 for i in range(bits) if neg >> i & 1})
@@ -577,22 +578,25 @@ def test_sparse_numerators_exact():
         assert [Fraction(v, 1 << top) for v in got] == want
 
 
-def popcount_numerators(p: cs.SparsePolynomial, neg: np.ndarray) -> list[int]:
+def popcount_numerators(
+    p: cs.SparsePolynomial, neg: np.ndarray
+) -> tuple[int, list[int]]:
     """The popcount route that the parity tables replaced, kept as the
     reference: terms grouped by their numerator at the scale 2**top, one
-    popcount per (point, term), and the sum over groups in Python ints."""
+    popcount per (point, term), and the sum over groups in Python ints.
+    Returns ``(top, numerators)`` as the routine under test does."""
     top = max((a for _, a in p.terms.values()), default=0)
     groups: dict[int, list[int]] = {}
     for m, (num, a) in p.terms.items():
         groups.setdefault(num << (top - a), []).append(m)
     if not groups:
-        return [0] * len(neg)
+        return top, [0] * len(neg)
     masks = np.array([m for ms in groups.values() for m in ms], dtype=np.uint64)
     sizes = np.array([len(ms) for ms in groups.values()])
     parity = np.bitwise_count(neg[:, None] & masks) & 1
     odd = np.add.reduceat(parity, np.cumsum(sizes) - sizes, axis=1, dtype=np.int64)
     values = np.array(list(groups), dtype=object)
-    return ((sizes - 2 * odd).astype(object) @ values).tolist()
+    return top, ((sizes - 2 * odd).astype(object) @ values).tolist()
 
 
 def test_sparse_numerators_match_popcount_route():
@@ -623,9 +627,9 @@ def test_sparse_numerators_match_popcount_route():
         points = [0, 2**64 - 1] + [rng.getrandbits(64) for _ in range(count)]
         neg = np.array(points[:count], dtype=np.uint64)
         for p in polys:
-            got = _sparse_numerators(p, neg)
+            top, got = _sparse_numerators(p, neg)
             assert all(type(v) is int for v in got)
-            assert got == popcount_numerators(p, neg), (count, p)
+            assert (top, got) == popcount_numerators(p, neg), (count, p)
     # Past about 511 terms over 64 bits the tables would exceed
     # _SPARSE_PIECE words: 1,500 terms narrow the windows to 5 bits with
     # pieces of 52 points, and 17,000 terms to 1 bit, where one point's
@@ -747,8 +751,8 @@ def test_spectrum_sparse_conversions_roundtrip():
 
 def test_spectrum_from_sparse_matches_the_constructor():
     """The embedded spectrum equals, dtype and all, the one the constructor
-    builds from the full list of scaled numerators, and its recorded
-    relevant coordinates give the same hash and repr."""
+    builds from the full list of scaled numerators, with the same hash and
+    repr."""
 
     def built(p, n):
         coeffs = [0] * (1 << n)
