@@ -89,9 +89,24 @@ def _lift_sparse(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
     if kf != kg:
         raise NotKFunction(f"inputs sit on different levels {kf} and {kg}")
     fresh = max(f.relevant_mask().bit_length(), g.relevant_mask().bit_length())
-    a = SparsePolynomial.variable(fresh + 1)
-    b = SparsePolynomial.variable(fresh + 2)
-    return ((f + g) * a + (f - g) * b).scaled(1, 1)
+    # Raises IndexOverflow past variable 64, even when every x_b term cancels.
+    b = mask_from_indices((fresh + 2,))
+    a = b >> 1
+    # h = ((f + g) * x_a + (f - g) * x_b) / 2 in one pass over the masks of
+    # f and g: each pair of coefficients over its common denominator, and
+    # the constructor puts every halved sum and difference in lowest terms.
+    terms: dict[int, tuple[int, int]] = {}
+    for mask in f.terms.keys() | g.terms.keys():
+        nf, df = f.terms.get(mask, (0, 0))
+        ng, dg = g.terms.get(mask, (0, 0))
+        d = max(df, dg)
+        nf <<= d - df
+        ng <<= d - dg
+        if nf != -ng:
+            terms[mask | a] = (nf + ng, d + 1)
+        if nf != ng:
+            terms[mask | b] = (nf - ng, d + 1)
+    return SparsePolynomial(terms)
 
 
 def lift_pair(

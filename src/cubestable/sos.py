@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, PreconditionViolated, VerificationFailed
 
@@ -39,14 +39,18 @@ def _check_memo_limit(memo_limit: int) -> None:
         raise ValueError(f"memo limit must be >= 0, got {memo_limit}")
 
 
-def _columns(q: int, t: int, memo_limit: int) -> Iterator[int]:
-    """S(q, t') for t' = 0, 1, ..., t.
+def _columns(
+    q: int, t: int, memo_limit: int, slots: Sequence[int]
+) -> Iterator[list[int]]:
+    """``[S(r, t') for r in slots]`` for t' = 0, 1, ..., t; every r <= q.
 
     Each column ``S(r, t')`` for r <= q is one packed integer, slot r at
     bits ``r*w`` and up (Kronecker substitution).  Column t' + 1 sums
     S(r - x**2, t') over |x| <= sqrt(r): the x = 0 term is the column
     itself, and the pair +/-x is the column shifted up by x**2 slots and
-    doubled.  Slots past q are masked off.  The budget is on q*t: past
+    doubled.  Slots past q are masked off.  The width w bounds S(r, t')
+    at every r <= q and t' <= t, so the sweep at (q, t) serves every
+    smaller cell from its slots.  The budget is on q*t: past
     ``memo_limit`` the first step raises :class:`BudgetExceeded` before
     anything else is computed, and a negative ``memo_limit`` is a
     ValueError there.
@@ -71,13 +75,13 @@ def _columns(q: int, t: int, memo_limit: int) -> Iterator[int]:
     w = 1 + min(
         t * (2 * m + 1).bit_length(), (comb(q + t, q) << min(q, t)).bit_length()
     )
-    top = q * w
-    keep = (1 << (top + w)) - 1
+    slot = (1 << w) - 1
+    keep = (1 << ((q + 1) * w)) - 1
     row = 1  # S(0, 0) = 1, every other S(r, 0) = 0
-    yield row >> top
+    yield [row >> r * w & slot for r in slots]
     for _ in range(t):
         row = (row + sum(row << (x * x * w + 1) for x in range(1, m + 1))) & keep
-        yield row >> top
+        yield [row >> r * w & slot for r in slots]
 
 
 def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosResult:
@@ -88,7 +92,7 @@ def sos_count(q: int, t: int, *, memo_limit: int = DEFAULT_MEMO_LIMIT) -> SosRes
     :class:`BudgetExceeded`.
     """
     _check_args(q, t)
-    for count in _columns(q, t, memo_limit):
+    for (count,) in _columns(q, t, memo_limit, [q]):
         pass
     return SosResult(q, t, count)
 
@@ -103,14 +107,18 @@ def sos_bruteforce(
     """
     _check_args(q, t)
     m = isqrt(q)
-    if (2 * m + 1) ** t > scan_limit:
+    # For m >= 1, (2m + 1)**t > 2**t, which exceeds scan_limit once t
+    # passes its bit length: refuse a long scan without building the power.
+    if (m and t > scan_limit.bit_length()) or (2 * m + 1) ** t > scan_limit:
         raise BudgetExceeded(
             f"({2 * m + 1})**{t} points exceed scan limit {scan_limit}"
         )
 
     def scan(remaining: int, residual: int) -> int:
+        if residual == 0:
+            return 1  # only zeros remain
         if remaining == 0:
-            return 1 if residual == 0 else 0
+            return 0
         total = scan(remaining - 1, residual)  # x = 0
         for x in range(1, m + 1):
             if x * x > residual:
@@ -147,30 +155,43 @@ def _surd_power(q: int) -> tuple[int, int]:
 
 
 def _bounds_reports(
-    q: int, ts: Iterable[int], memo_limit: int = DEFAULT_MEMO_LIMIT
-) -> Iterator[BoundsReport]:
-    """The reports at the distinct t in ``ts`` (all t >= q), by ascending
-    t, from one pass of the recurrence up to the largest t.
+    qs: Iterable[int], ts: Iterable[int], memo_limit: int = DEFAULT_MEMO_LIMIT
+) -> Iterator[tuple[int, int, int, int, int, int, bool]]:
+    """The fields of :class:`BoundsReport`, as a tuple, for each distinct q
+    in ``qs`` and each distinct t >= q in ``ts``: q-major, both ascending.
 
-    S(q, q) is read at column q on the way, and (2*sqrt(q) + 1)**q is
-    expanded there once; binomials and surd floors are computed only at
-    the requested columns.  Past ``memo_limit`` the first step raises
-    :class:`BudgetExceeded` before any column is built.
+    One pass of the recurrence, at the largest q up to the largest t,
+    serves every cell: its slot q at column t is S(q, t), and at column q
+    the diagonal S(q, q).  (2*sqrt(q) + 1)**q is expanded once per q, and
+    binomials and surd floors are computed only at the requested cells.
+    Past ``memo_limit`` the first step raises :class:`BudgetExceeded`
+    before any column is built.
     """
-    wanted = set(ts)
-    for t, count in enumerate(_columns(q, max(wanted, default=0), memo_limit)):
-        if t == q:
-            diagonal = count
-            a, b = _surd_power(q)
-            bbq = b * b * q
-        if t not in wanted:
-            continue
-        c = comb(t, q)
-        lower = c * (1 << q)
-        upper_subset = c * diagonal
-        upper_value = c * a + isqrt(c * c * bbq)
-        ok = lower <= count <= upper_subset and count <= upper_value
-        yield BoundsReport(q, t, count, lower, upper_subset, upper_value, ok)
+    qs = sorted(set(qs))
+    ts = sorted(set(ts))
+    keep = set(qs) | set(ts)
+    columns = {
+        t: column
+        for t, column in enumerate(
+            _columns(max(qs, default=0), max(ts, default=0), memo_limit, qs)
+        )
+        if t in keep
+    }
+    for i, q in enumerate(qs):
+        cells = [t for t in ts if t >= q]
+        if not cells:
+            break
+        diagonal = columns[q][i]
+        a, b = _surd_power(q)
+        bbq = b * b * q
+        for t in cells:
+            count = columns[t][i]
+            c = comb(t, q)
+            lower = c << q
+            upper_subset = c * diagonal
+            upper_value = c * a + isqrt(c * c * bbq)
+            ok = lower <= count <= upper_subset and count <= upper_value
+            yield q, t, count, lower, upper_subset, upper_value, ok
 
 
 def check_bounds(
@@ -180,8 +201,8 @@ def check_bounds(
     _check_args(q, t)
     if t < q:
         raise PreconditionViolated(f"bounds need t >= q, got t={t} < q={q}")
-    (report,) = _bounds_reports(q, [t], memo_limit)
-    return report
+    (fields,) = _bounds_reports([q], [t], memo_limit)
+    return BoundsReport(*fields)
 
 
 def f_upper_bound(

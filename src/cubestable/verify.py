@@ -113,7 +113,10 @@ class _Context:
 
 def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
     total = 1 << 16
-    piece = 1 << 12
+    # Eight pieces: half the pool hand-offs of 2**12 tables, which the
+    # pooled pass repays, though a piece's freed 128 KiB arrays pass
+    # glibc's trim threshold, so each sweep faults in about 512 pages.
+    piece = 1 << 13
     # Bit S of outside[k] is set iff the mask S lies off level k.
     outside = [
         np.uint16(sum(1 << S for S in range(16) if S.bit_count() != k))
@@ -124,9 +127,9 @@ def _c1_equivalence(ctx: _Context) -> tuple[bool, str]:
         tables = np.arange(lo, lo + piece, dtype=np.uint64)
         # Spectral route: one butterfly over the whole piece in int8, which
         # holds every value of a +/-1 butterfly on Q_4 (at most 2**4), so
-        # each array is 64 KiB and reuses freed heap instead of faulting in
-        # fresh pages.  Each table's support becomes a 16-bit mask, and the
-        # level k that holds it gives the route's answer, or -1.
+        # each array is at most 128 KiB.  Each table's support becomes a
+        # 16-bit mask, and the level k that holds it gives the route's
+        # answer, or -1.
         spectra = _unpack(tables, 4).view(np.int8)
         spectra *= -2
         spectra += 1
@@ -261,12 +264,11 @@ def _c8_sos(ctx: _Context) -> tuple[bool, str]:
                 return False, f"oracles disagree at (q,t)=({q},{t})"
             agree += 1
     bounds = 0
-    for q in range(17):
-        # One recurrence pass per q reports every t = q..64.
-        for r in _bounds_reports(q, range(q, 65)):
-            if not r.ok:
-                return False, f"bounds fail at (q,t)=({q},{r.t})"
-            bounds += 1
+    # One recurrence pass at q = 16 reports every q <= 16 and t = q..64.
+    for q, t, *_, ok in _bounds_reports(range(17), range(65)):
+        if not ok:
+            return False, f"bounds fail at (q,t)=({q},{t})"
+        bounds += 1
     return True, f"oracles agree on {agree} cells; bounds hold on {bounds} cells"
 
 

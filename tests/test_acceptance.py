@@ -10,7 +10,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,15 +148,17 @@ def test_criterion_08_sum_of_squares_oracles_and_bounds(ctx):
 
 def test_criterion_08_names_the_failing_cell(monkeypatch):
     sweep = verify._bounds_reports
+    # The first failure in q-major order is named: (3, 40) before (5, 9).
+    for failing, named in [({(5, 9)}, "(5,9)"), ({(5, 9), (3, 40)}, "(3,40)")]:
 
-    def broken(q, ts):
-        for r in sweep(q, ts):
-            yield replace(r, ok=False) if (q, r.t) == (5, 9) else r
+        def broken(qs, ts):
+            for q, t, *bounds, ok in sweep(qs, ts):
+                yield q, t, *bounds, ok and (q, t) not in failing
 
-    monkeypatch.setattr(verify, "_bounds_reports", broken)
-    result = run_criterion(8, _Context(SEED, threads=1))
-    assert not result.ok
-    assert "(q,t)=(5,9)" in result.detail
+        monkeypatch.setattr(verify, "_bounds_reports", broken)
+        result = run_criterion(8, _Context(SEED, threads=1))
+        assert not result.ok
+        assert f"(q,t)={named}" in result.detail
 
 
 def test_criterion_09_count_upper_bound(ctx):

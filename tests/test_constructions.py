@@ -76,6 +76,61 @@ def test_lift_sparse_fresh_indices():
     assert h.support_levels() == {2}
 
 
+def _lift_by_operators(f, g):
+    """The sparse lift as the polynomial operators write it."""
+    fresh = max(f.relevant_mask().bit_length(), g.relevant_mask().bit_length())
+    a = cs.SparsePolynomial.variable(fresh + 1)
+    b = cs.SparsePolynomial.variable(fresh + 2)
+    return ((f + g) * a + (f - g) * b).scaled(1, 1)
+
+
+def test_lift_sparse_matches_the_operator_form(kfn):
+    rng = random.Random(29)
+    # Sparse k-functions by level: Q_4 and Q_5 ones, characters among them
+    # (coefficient 1), and max_relevant_construct's (1/2 at k = 2, 1/4 at
+    # k = 3), so pairs on one level can have unequal denominators.
+    by_level = {}
+    for n, k in [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)]:
+        tables = kfn(n, k) if n == 4 else cs.enumerate_spectral(n, k)
+        by_level.setdefault(k, []).extend(map(cs.sparse_from_truth_table, tables))
+    for k in (2, 3):
+        by_level[k].append(cs.max_relevant_construct(k))
+    pairs = []
+    for k, fs in sorted(by_level.items()):
+        for _ in range(60):
+            f = cs.disjoint_copy(rng.choice(fs), rng.randrange(4))
+            g = cs.disjoint_copy(rng.choice(fs), rng.randrange(4))
+            pairs.append((f, -g if rng.random() < 0.5 else g))
+        f = rng.choice(fs)
+        pairs += [(f, f), (f, -f)]
+    overlapping = unequal = 0
+    for f, g in pairs:
+        assert cs.lift_pair(f, g) == _lift_by_operators(f, g)
+        shared = f.terms.keys() & g.terms.keys()
+        overlapping += bool(shared)
+        unequal += any(f.terms[m][1] != g.terms[m][1] for m in shared)
+    assert overlapping and unequal
+    # g = f cancels every x_b term and g = -f every x_a term.
+    f = by_level[3][-1]
+    fresh = f.relevant_mask().bit_length()
+    assert cs.lift_pair(f, f).relevant_mask() >> fresh == 0b01
+    assert cs.lift_pair(f, -f).relevant_mask() >> fresh == 0b10
+
+
+def test_lift_sparse_at_the_variable_ceiling(two_function_q4):
+    base = cs.sparse_from_truth_table(two_function_q4)
+    low = cs.disjoint_copy(base, 50)
+    top = cs.disjoint_copy(base, 58)  # x_59..x_62
+    for g, fresh in [(low, 0b11), (top, 0b01), (-top, 0b10)]:
+        h = cs.lift_pair(top, g)
+        assert h == _lift_by_operators(top, g)
+        assert h.relevant_mask() >> 62 == fresh  # x_63 and x_64
+    over = cs.disjoint_copy(base, 59)  # x_60..x_63: x_65 is past the ceiling
+    for f, g in [(over, low), (low, over), (over, over), (over, -over)]:
+        with pytest.raises(IndexOverflow):
+            cs.lift_pair(f, g)
+
+
 def test_lift_sparse_errors():
     x1 = cs.SparsePolynomial.variable(1)
     with pytest.raises(NotKFunction):

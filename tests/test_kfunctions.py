@@ -171,9 +171,9 @@ def test_worker_count_is_capped(monkeypatch):
     # The enumerator runs on the calling thread.
     assert len(list(cs.enumerate_truth_tables(4, 2))) == 36
     assert pools == [(4, 5), (2, 2)]
-    # Criterion 1's sweep is the one pooled step: 16 pieces on 4 workers.
+    # Criterion 1's sweep is the one pooled step: 8 pieces on 4 workers.
     assert run_criterion(1, _Context(42, threads=10**6)).ok
-    assert pools == [(4, 5), (2, 2), (4, 16)]
+    assert pools == [(4, 5), (2, 2), (4, 8)]
 
 
 def test_enumerate_dimension_guard():

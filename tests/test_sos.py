@@ -53,6 +53,27 @@ def test_budgets():
         cs.sos_bruteforce(100, 30)
 
 
+def test_bruteforce_refuses_a_long_scan_before_counting_its_points():
+    # 3**(10**9) has about 1.6e9 bits; the refusal must not build it.
+    with pytest.raises(BudgetExceeded, match=r"\(3\)\*\*1000000000 points exceed"):
+        cs.sos_bruteforce(1, 10**9)
+    limit = sos.DEFAULT_SCAN_LIMIT
+    t = limit.bit_length()
+    with pytest.raises(BudgetExceeded):
+        cs.sos_bruteforce(1, t + 1)
+    # Just under the shortcut, the exact comparison still decides.
+    assert 3**16 <= limit < 3**17 < 2**t
+    assert cs.sos_bruteforce(1, 16).count == 32
+    with pytest.raises(BudgetExceeded):
+        cs.sos_bruteforce(1, 17)
+
+
+def test_bruteforce_zero_vector_scan_is_shallow():
+    # q = 0 scans the one point 0, however long it is, without recursing
+    # once per coordinate.
+    assert cs.sos_bruteforce(0, 5000).count == 1 == cs.sos_count(0, 5000).count
+
+
 def test_negative_memo_limit_is_refused(monkeypatch):
     # Refused before any column, by every entry point, as a bad argument
     # rather than as a budget q*t exceeds.
@@ -110,13 +131,21 @@ def test_check_bounds_sweep():
             assert r.upper_subset == comb(t, q) * cs.sos_count(q, q).count
 
 
+def _reports(qs, ts, **kwargs):
+    return [BoundsReport(*fields) for fields in _bounds_reports(qs, ts, **kwargs)]
+
+
 def test_bounds_reports_sweep_matches_check_bounds():
     for q in range(17):
         ts = range(q, 65)
-        assert list(_bounds_reports(q, ts)) == [cs.check_bounds(q, t) for t in ts]
-    # Only the requested columns are reported, once each, by ascending t.
-    assert [r.t for r in _bounds_reports(3, [40, 3, 7, 7])] == [3, 7, 40]
-    assert list(_bounds_reports(3, [])) == []
+        assert _reports([q], ts) == [cs.check_bounds(q, t) for t in ts]
+    # Only the requested cells are reported, once each, t >= q, ascending.
+    assert [r.t for r in _reports([3], [40, 3, 7, 7])] == [3, 7, 40]
+    assert [(r.q, r.t) for r in _reports([5, 3, 5], [40, 4, 3, 1])] == [
+        (3, 3), (3, 4), (3, 40), (5, 40)
+    ]
+    assert _reports([3], []) == []
+    assert _reports([], [3]) == []
 
 
 def test_bounds_reports_budget_before_any_column(monkeypatch):
@@ -127,7 +156,10 @@ def test_bounds_reports_budget_before_any_column(monkeypatch):
     monkeypatch.setattr("cubestable.sos.isqrt", refuse)
     monkeypatch.setattr("cubestable.sos.comb", refuse)
     with pytest.raises(BudgetExceeded):
-        next(_bounds_reports(10, range(10, 101), memo_limit=999))
+        next(_bounds_reports([10], range(10, 101), memo_limit=999))
+    # The multi-q sweep's budget is on its largest q times its largest t.
+    with pytest.raises(BudgetExceeded):
+        next(_bounds_reports(range(17), range(65), memo_limit=16 * 64 - 1))
     with pytest.raises(BudgetExceeded):
         cs.check_bounds(10, 100, memo_limit=999)
 
@@ -198,9 +230,7 @@ def test_packed_sweep_matches_reference_recurrence():
     for q in range(41):
         want = [row[q] for row in _reference_columns(q, 40)]
         assert [cs.sos_count(q, t).count for t in range(41)] == want, q
-        assert list(_bounds_reports(q, range(q, 41))) == list(
-            _reference_reports(q, 40)
-        ), q
+        assert _reports([q], range(q, 41)) == list(_reference_reports(q, 40)), q
 
 
 @pytest.mark.parametrize("q, t", [(0, 0), (16, 64), (1, 300), (0, 300), (300, 1)])
@@ -209,6 +239,11 @@ def test_packed_sweep_matches_reference_at_the_edges(q, t):
     # the widest slots the bound allows next to a single neighbour.
     assert cs.sos_count(q, t).count == list(_reference_columns(q, t))[-1][q]
     if t >= q:
-        assert list(_bounds_reports(q, range(q, t + 1))) == list(
-            _reference_reports(q, t)
-        )
+        assert _reports([q], range(q, t + 1)) == list(_reference_reports(q, t))
+
+
+def test_multi_q_sweep_matches_reference():
+    # Every q read from the q = 16 sweep, in slots wider than q's own
+    # sweep uses, against the reference at every cell criterion 8 reads.
+    want = [r for q in range(17) for r in _reference_reports(q, 64)]
+    assert _reports(range(17), range(65)) == want
