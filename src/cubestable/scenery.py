@@ -14,18 +14,17 @@ P(word) = weight / norm and equal laws have equal fields.
 For a k-function every vertex sees exactly k of its n neighbours disagree,
 so the observed sign flips with probability k/n at every step regardless of
 where the walk is; that closed form is :func:`markov_scenery`, and
-:func:`exact_scenery` is the model-level dynamic program it must match.
+:func:`exact_scenery` is the model-level law it must match.
 
-The dynamic program (:func:`_walk_dp`) counts walks per cell of a partition
-of Q_n's vertices.  On the discrete partition, one cell per vertex, it
-follows every walk; on any equitable partition that refines the level sets
-it gives the same law, as counts within a cell never differ.  A k-function's
-two level sets are such a partition: every vertex has n - k neighbours of
-its own sign and k of the other.  :func:`exact_scenery` runs a k-function on
-those two cells and any other table on its vertices; the batch
-:func:`_exact_sceneries`, which criterion 10 of ``verify`` checks against
-:func:`markov_scenery`, always runs on the vertices, so that check does not
-assume the lumping it would prove.
+On a k-function's two level sets each letter names the set the walk is in,
+so every word has one path through them and its weight is a product: the
+first letter's level-set size, times n - k for every step that keeps the
+sign and k for every step that changes it (:func:`_chain_law`, which
+:func:`markov_scenery` shares with equal start weights).  Any other table
+is walked vertex by vertex, by the dynamic program of
+:func:`_exact_sceneries`.  Criterion 10 of ``verify`` checks that vertex
+DP against :func:`markov_scenery`, so that check does not assume the
+lumping onto the level sets it would prove.
 """
 
 from __future__ import annotations
@@ -68,13 +67,13 @@ class SceneryDistribution:
     probability of word ``codes[r]`` is its weight over ``norm``: each
     weight is a positive integer, and the weights and ``norm`` share no
     common factor, so equal distributions have equal fields.  The weights
-    are kept as one read-only array, int64 whenever every weight fits (a
-    walk DP's law always does) and Python ints (an object array) when one
-    does not; ``weights`` gives them as a tuple of Python ints.  ``probs``
-    builds the ``{word: Fraction}`` mapping on access, and ``probability``
-    finds one word's code by binary search.  The constructor takes such a
-    mapping for any L up to ``MAX_CODE_STEPS``, omits its zero entries and
-    rejects negative ones.
+    are kept as one read-only array, int64 whenever every weight fits (an
+    ``exact_scenery`` law always does) and Python ints (an object array)
+    when one does not; ``weights`` gives them as a tuple of Python ints.
+    ``probs`` builds the ``{word: Fraction}`` mapping on access, and
+    ``probability`` finds one word's code by binary search.  The
+    constructor takes such a mapping for any L up to ``MAX_CODE_STEPS``,
+    omits its zero entries and rejects negative ones.
     """
 
     __slots__ = ("n", "L", "codes", "_w", "norm")
@@ -189,25 +188,26 @@ def _check_scenery_size(n: int, L: int) -> None:
         raise ValueError("step count must be >= 0")
     if L > MAX_STEPS:
         raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
-    if (1 << n) << (L + 1) > MAX_DP_CELLS:
+    # Exponents, not the cell count: n is a sparse file's declared n, and
+    # 2**n alone may not fit in memory.  2**e > MAX_DP_CELLS exactly when
+    # e >= MAX_DP_CELLS.bit_length().
+    if n + L + 1 >= MAX_DP_CELLS.bit_length():
         raise BudgetExceeded(
             f"2**{n} vertices x 2**{L + 1} words exceeds the {MAX_DP_CELLS}-cell ceiling"
         )
 
 
 def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
-    """The word distribution under the walk model, by dynamic programming.
+    """The word distribution under the walk model, exactly.
 
-    A k-function's DP runs on its two level sets (:func:`_walk_dp`): the
-    +1 cell of 2**n - w vertices and the -1 cell of w, where w counts the
-    table's -1 vertices.  Every vertex has n - k neighbours in its own cell
-    and k in the other, so coordinate j keeps a walk in its cell for n - k
-    of the n coordinates and moves it across for the other k: those are
-    the cells' maps.  Each cell counts k neighbours in the other, so the
-    quotient matrix [[n - k, k], [k, n - k]] is symmetric, as the DP needs.
-    The constants (k = 0, one cell empty) and the full parity (k = n) are
-    k-functions too.  Any other table runs on its vertices, as
-    :func:`_exact_sceneries` on a batch of one.
+    A k-function's law is the product of :func:`_chain_law`: every vertex
+    has n - k neighbours of its own sign and k of the other, so a walk on
+    its two level sets, the +1 set of 2**n - w vertices and the -1 set of
+    w, where w counts the table's -1 vertices, stays with n - k of the n
+    coordinates and changes with the other k.  The constants (k = 0, one
+    set empty) and the full parity (k = n) are k-functions too.  Any other
+    table is walked on its vertices, as :func:`_exact_sceneries` on a batch
+    of one.
 
     Raises as :func:`_check_scenery_size` does, before any work.
     """
@@ -217,20 +217,28 @@ def exact_scenery(f: TruthTable, L: int) -> SceneryDistribution:
     if k < 0:
         return _exact_sceneries([f], L)[0]
     w = f.bits.bit_count()
-    maps = np.array([[0, 1]] * (n - k) + [[1, 0]] * k)
-    (law,) = _walk_dp(n, L, np.array([[0, 1]]), np.array([[(1 << n) - w, w]]), maps)
-    return law
+    return _chain_law(n, k, L, (1 << n) - w, w)
 
 
 def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistribution]:
-    """:func:`exact_scenery` of every table of a batch, by one DP on the
-    vertices of every table (:func:`_walk_dp`, the discrete partition).
+    """:func:`exact_scenery` of every table of a batch, by one walk DP on
+    the vertices of every table.
 
-    Table b's vertex v is column b * 2**n + v, of start count 1, and its
-    map j is v -> v ^ 2**j within table b.  The batch never takes the
-    level-set cells, even for k-functions: criterion 10 runs it so that
-    each table's law comes from a walk over all of its vertices, which is
-    what it checks against :func:`markov_scenery`.
+    The batch never takes the product on the level sets, even for
+    k-functions: criterion 10 runs it so that each table's law comes from
+    a walk over all of its vertices, which is what it checks against
+    :func:`markov_scenery`.
+
+    Table b's vertex v is column b * 2**n + v, and its neighbour across
+    coordinate j is column b * 2**n + (v ^ 2**j).  The state holds one row
+    per surviving word prefix: entry (w, v) counts the walks that read the
+    prefix w and are now at vertex v.  Each of the first L letters splits
+    every row by the letter read at each vertex (a row is dropped once it
+    is zero in every table), and a step then sums the n neighbours of
+    every entry.  The last letter is split and summed over each table's
+    vertices, not kept as rows.  L = 0 takes the same path with no step.
+    Table b's sum for a word w is 2**n * n**L * P(w): the nonzero sums are
+    the law's weights as they are, over that norm.
 
     All tables must share n (else :class:`ShapeMismatch`).  Beside the
     guards of :func:`_check_scenery_size`, the batch must hold at most
@@ -249,59 +257,27 @@ def _exact_sceneries(fs: Sequence[TruthTable], L: int) -> list[SceneryDistributi
             f"{len(fs)} tables x 2**{n} vertices x 2**{L + 1} words exceeds "
             f"the {MAX_DP_CELLS}-cell ceiling"
         )
-    # Each table unpacks on its own: a uint64 array of tables stops at n = 6.
-    minus = np.stack([_unpack(f.bits, n) for f in fs])
-    columns = np.arange(minus.size)
-    maps = columns ^ (1 << np.arange(n))[:, None]
-    return _walk_dp(n, L, minus, np.ones_like(minus), maps)
-
-
-def _walk_dp(
-    n: int, L: int, minus: np.ndarray, sizes: np.ndarray, maps: np.ndarray
-) -> list[SceneryDistribution]:
-    """The laws of B tables on Q_n, by one walk DP over the cells of a
-    partition of each table's vertices.
-
-    Every vertex of a cell must read one letter, and every vertex of cell c
-    must have its neighbour across coordinate j in cell maps[j][c] as far as
-    counts go: the n maps give each cell's neighbour count in every cell
-    (an equitable partition that refines the level sets).  Cell c must also
-    count as many neighbours in c' as c' counts in c (a symmetric quotient
-    matrix): then a step sends a cell's total, not only its per-vertex
-    count, to the sum of its n gathers.  Table b's cells are columns
-    b * C .. b * C + C - 1: ``minus`` and ``sizes`` are (B, C) arrays of
-    each cell's letter (1 for -1) and vertex count, and ``maps`` is
-    (n, B * C), mapping each column to one of the same table.
-
-    The state holds one row per surviving word prefix: entry (w, c) counts
-    the walks that read the prefix w and are now in cell c.  Each of the
-    first L letters splits every row by the letter read in each cell (a
-    row is dropped once it is zero in every table), and a step then sums
-    the n gathers of every row.  The last letter is split and summed over
-    each table's cells, not kept as rows.  L = 0 takes the same path with
-    no step.  Table b's sum for a word w is 2**n * n**L * P(w): the
-    nonzero sums are the law's weights as they are, over that norm.
-    """
-    tables, cells = minus.shape
-    # An entry after t steps counts t-step walks into a cell, so it is at
-    # most (its size) * n**t, reached when every walk into the cell reads
-    # one word (a constant table): the state takes the narrowest unsigned
-    # dtype that holds the largest size times n**L (uint16 for criterion
-    # 10's vertices, n = 4, L = 6; uint32 for a constant's one cell at
-    # n = 4, L = 7, where n**L alone would fit uint16).  A table's part of
-    # a row sums to at most 2**n * n**L, which under the two ceilings
+    # An entry after t steps counts t-step walks into a vertex, so it is at
+    # most n**t, reached when every walk into the vertex reads one word (a
+    # constant table): the state takes the narrowest unsigned dtype that
+    # holds n**L (uint16 for criterion 10, n = 4, L = 6).  A table's part
+    # of a row sums to at most 2**n * n**L, which under the two ceilings
     # (2**n * 2**(L+1) <= 2**20, L <= 12) is at most 2**41 (n = 8, L = 11):
     # the sums are taken in int64.
-    dtype = np.min_scalar_type(int(sizes.max()) * n**L)
-    minus = minus.astype(dtype).ravel()
-    # letters[0] is 1 where a cell reads +1, letters[1] where it reads -1.
+    dtype = np.min_scalar_type(n**L)
+    # Each table unpacks on its own: a uint64 array of tables stops at n = 6.
+    minus = np.stack([_unpack(f.bits, n) for f in fs]).astype(dtype)
+    tables, size = minus.shape
+    minus = minus.ravel()
+    maps = np.arange(minus.size) ^ (1 << np.arange(n))[:, None]
+    # letters[0] is 1 where a vertex reads +1, letters[1] where it reads -1.
     letters = np.array([[1], [0]], dtype=dtype) ^ minus
-    # spread holds the walks into each cell before it reads its letter: at
-    # step 0 one from each vertex, under the empty word.  codes[r] spells
-    # row r's word in binary, first letter highest and a set bit for -1,
-    # so the rows stay in the order of their +/- strings.  codes stays None
-    # while no row has been dropped, as row r then spells r.
-    spread = sizes.astype(dtype).reshape(1, -1)
+    # spread holds the walks into each vertex before it reads its letter:
+    # at step 0 one from each vertex, under the empty word.  codes[r]
+    # spells row r's word in binary, first letter highest and a set bit for
+    # -1, so the rows stay in the order of their +/- strings.  codes stays
+    # None while no row has been dropped, as row r then spells r.
+    spread = np.ones((1, minus.size), dtype=dtype)
     codes = None
     letter = np.arange(2)
     # When both letters are read somewhere, a row with no zero entry splits
@@ -323,9 +299,9 @@ def _walk_dp(
         # times the state, at most 32 MiB under the ceilings (n = 8, L = 11).
         spread = state[:, maps].sum(axis=1, dtype=dtype)
     # The last letter: of each table's part of a row, the walks that end on
-    # a +1 cell and those that end on a -1 cell.
-    spread = spread.reshape(-1, 1, tables, cells)
-    letters = letters.reshape(2, tables, cells)
+    # a +1 vertex and those that end on a -1 vertex.
+    spread = spread.reshape(-1, 1, tables, size)
+    letters = letters.reshape(2, tables, size)
     sums = (spread * letters).sum(axis=3, dtype=np.int64).reshape(-1, tables)
     if codes is None:
         codes = np.arange(len(sums))
@@ -338,6 +314,35 @@ def _walk_dp(
         dist._set(n, L, codes[live], weights[live], (1 << n) * n**L)
         laws.append(dist)
     return laws
+
+
+def _chain_law(n: int, k: int, L: int, plus: int, minus: int) -> SceneryDistribution:
+    """The law of the two-state chain that starts on +1 with weight
+    ``plus`` and on -1 with ``minus`` and at each step stays with weight
+    n - k and changes sign with weight k, over (plus + minus) * n**L.
+
+    With (plus, minus) = (2**n - w, w) it is the walk on a k-function's
+    level sets: each letter names its level set, so a word has one path
+    through them.
+    """
+    # Code c's first letter is its bit L, and its sign changes are the set
+    # bits of c ^ c >> 1 below bit L.
+    codes = np.arange(2 << L)
+    changes = np.bitwise_count((codes ^ codes >> 1) & ((1 << L) - 1))
+    # A weight is at most max(plus, minus) * n**L, as every
+    # k**c * (n - k)**(L - c) is at most n**L: int64 while that is below
+    # 2**63, and Python ints (an object array) past it, since n is unbounded.
+    dtype = np.int64 if max(plus, minus) * n**L < 1 << 63 else object
+    by_changes = np.array(
+        [k**c * (n - k) ** (L - c) for c in range(L + 1)], dtype=dtype
+    )
+    weights = np.array([plus, minus], dtype=dtype)[codes >> L] * by_changes[changes]
+    # A word has weight zero when it starts on an empty level set, changes
+    # sign with k = 0 or stays with k = n.
+    live = weights > 0
+    dist = SceneryDistribution.__new__(SceneryDistribution)
+    dist._set(n, L, codes[live], weights[live], (plus + minus) * n**L)
+    return dist
 
 
 def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:
@@ -355,18 +360,7 @@ def markov_scenery(n: int, k: int, L: int) -> SceneryDistribution:
         raise ValueError("step count must be >= 0")
     if L > MAX_STEPS:
         raise BudgetExceeded(f"L={L} exceeds the {MAX_STEPS}-step ceiling")
-    # P(w) = k**c * (n-k)**(L-c) / (2 * n**L) depends only on the number c
-    # of sign changes in w; Python ints, since n is unbounded.
-    by_changes = np.array(
-        [k**c * (n - k) ** (L - c) for c in range(L + 1)], dtype=object
-    )
-    codes = np.arange(2 << L)
-    weights = by_changes[np.bitwise_count((codes ^ (codes >> 1)) & ((1 << L) - 1))]
-    # Only k = n gives weight zero: every step must change the sign.
-    live = weights > 0
-    dist = SceneryDistribution.__new__(SceneryDistribution)
-    dist._set(n, L, codes[live], weights[live], 2 * n**L)
-    return dist
+    return _chain_law(n, k, L, 1, 1)
 
 
 def distributions_equal(a: SceneryDistribution, b: SceneryDistribution) -> bool:

@@ -290,8 +290,8 @@ def _c10_scenery(ctx: _Context) -> tuple[bool, str]:
     twos = ctx.kfn(4, 2)
     ref = markov_scenery(4, 2, 6)
     # One DP over all 36 tables, on their vertices: 36 * 2**4 * 2**7 =
-    # 73,728 cells.  exact_scenery's two-cell DP would take the lumping
-    # onto the level sets for granted, and that is what this checks.
+    # 73,728 cells.  exact_scenery's product on the level sets would take
+    # the lumping onto them for granted, and that is what this checks.
     same = sum(1 for law in _exact_sceneries(twos, 6) if distributions_equal(law, ref))
     if same != len(twos):
         return False, f"only {same}/{len(twos)} sceneries match the closed form"

@@ -181,26 +181,28 @@ def test_canon_and_isomorphic_refuse_large_n_before_densifying(capsys, tmp_path)
 
 
 def test_scenery_refuses_large_n_before_densifying(capsys, tmp_path, monkeypatch):
-    # Densifying x_1 on Q_26 would take seconds and more than 1 GB.
-    doc = {"n": 26, "encoding": "sparse", "terms": [{"vars": [1], "num": 1, "log2_den": 0}]}
-    big = tmp_path / "x1_q26.json"
-    big.write_text(json.dumps(doc) + "\n")
+    # Densifying x_1 on Q_26 would take seconds and more than 1 GB; on
+    # Q_(2**64) even the count of 2**n vertex-word cells would not fit.
     small = write_function(tmp_path, "f.json", cs.TruthTable.dictator(3, 1))
 
     def refuse(*args):
         raise AssertionError("spectrum_from_sparse called")
 
     monkeypatch.setattr(cli, "spectrum_from_sparse", refuse)
-    for argv in (
-        ["scenery", "--f", str(big), "--steps", "1"],
-        ["scenery", "--f", small, "--steps", "1", "--compare", str(big)],
-    ):
-        code, out, err = run(capsys, argv)
-        assert code == 3 and out == ""
-        assert json.loads(err) == {
-            "error": "BudgetExceeded",
-            "message": "2**26 vertices x 2**2 words exceeds the 1048576-cell ceiling",
-        }
+    for n in (26, 2**64):
+        doc = {"n": n, "encoding": "sparse", "terms": [{"vars": [1], "num": 1, "log2_den": 0}]}
+        big = tmp_path / f"x1_q{n}.json"
+        big.write_text(json.dumps(doc) + "\n")
+        for argv in (
+            ["scenery", "--f", str(big), "--steps", "1"],
+            ["scenery", "--f", small, "--steps", "1", "--compare", str(big)],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert json.loads(err) == {
+                "error": "BudgetExceeded",
+                "message": f"2**{n} vertices x 2**2 words exceeds the 1048576-cell ceiling",
+            }
 
 
 def test_construct_lemma7(capsys, tmp_path):

@@ -63,12 +63,12 @@ def test_exact_matches_walk_enumeration():
 
 
 def test_exact_scenery_at_the_cell_ceiling():
-    # 2**8 x 2**12 cells; each row sums to at most 2**8 * 8**11 = 2**41.
+    # 2**8 x 2**12 cells; the constant's one word has weight 2**8 * 8**11
+    # = 2**41 before it is reduced.
     d = cs.exact_scenery(cs.TruthTable.constant(8, 1), 11)
     assert d.probs == {(1,) * 12: 1}
     assert d.total() == 1
-    # The state is uint64 there (8**11 = 2**33); every walk on the full
-    # parity reads an alternating word.
+    # Every walk on the full parity reads an alternating word.
     alternating = tuple((-1) ** i for i in range(12))
     flipped = tuple(-a for a in alternating)
     d = cs.exact_scenery(cs.TruthTable.character(8, 0xFF), 11)
@@ -89,8 +89,9 @@ def test_shared_law_on_q5():
         assert cs.uniform_flip_count(g) == 3
         assert cs.exact_scenery(f, 8) == laws[2]
         assert cs.exact_scenery(g, 8) == laws[3]
-    # The same on every vertex, where exact_scenery walks two cells: 32
-    # tables a batch fill the cell ceiling at n = 5 and L = 8.
+    # The same on every vertex, where exact_scenery takes the product on
+    # the level sets: 32 tables a batch fill the cell ceiling at n = 5 and
+    # L = 8.
     for k, tables in ((2, twos), (3, threes)):
         for i in range(0, len(tables), 32):
             batch = _exact_sceneries(tables[i : i + 32], 8)
@@ -98,8 +99,8 @@ def test_shared_law_on_q5():
 
 
 def test_exact_and_markov_laws_have_equal_fields():
-    # Norms 2**n * n**L (the DP) and 2 * n**L (the closed form) reduce to the
-    # same value, so equal laws are equal field by field.
+    # Norms 2**n * n**L (the walk) and 2 * n**L (the closed form) reduce to
+    # the same value, so equal laws are equal field by field.
     for n, k, L in [(5, 2, 8), (4, 1, 5), (3, 3, 4), (5, 5, 0)]:
         f = next(cs.enumerate_spectral(n, k))
         e = cs.exact_scenery(f, L)
@@ -145,6 +146,32 @@ def test_markov_hand_values():
     d = cs.markov_scenery(4, 2, 1)
     assert set(d.probs.values()) == {Fraction(1, 4)} and len(d.probs) == 4
     assert cs.markov_scenery(4, 1, 2).probability((1, 1, 1)) == Fraction(9, 32)
+
+
+def test_chain_law_past_int64():
+    # The product keeps int64 weights only while the start weight times
+    # n**L fits, and a law taken in Python ints is narrowed when its
+    # weights fit once reduced: int64 throughout for 2**34 * 5**12 < 2**63;
+    # Python ints narrowed at the end for 2**40 (largest weight about
+    # 2**59); Python ints kept for 2**46 and for 40**12 (largest weights
+    # 2**46 * 3**12 and 39**12, both past 2**63).  Each law is checked
+    # against one built from Fractions.
+    for n, k, L, plus, minus, dtype in [
+        (5, 2, 12, 2**34 + 1, 3, np.int64),
+        (5, 2, 12, 2**40 + 1, 3, np.int64),
+        (5, 2, 12, 3, 2**46 + 1, object),
+        (40, 1, 12, 1, 1, object),
+    ]:
+        probs = {}
+        for word in product((1, -1), repeat=L + 1):
+            weight = plus if word[0] == 1 else minus
+            for a, b in zip(word, word[1:]):
+                weight *= k if a != b else n - k
+            probs[word] = Fraction(weight, (plus + minus) * n**L)
+        law = scenery._chain_law(n, k, L, plus, minus)
+        _same_fields(law, SceneryDistribution(n, L, probs))
+        assert law._w.dtype == dtype
+    assert scenery._chain_law(40, 1, 12, 1, 1) == cs.markov_scenery(40, 1, 12)
 
 
 def test_exact_matches_markov_small_grid(kfn):
@@ -233,20 +260,23 @@ def test_exact_scenery_cell_ceiling(monkeypatch):
 def _same_fields(a, b):
     assert (a.n, a.L, a.norm, a.weights) == (b.n, b.L, b.norm, b.weights)
     assert np.array_equal(a.codes, b.codes)
+    assert (a.codes.dtype, a._w.dtype) == (b.codes.dtype, b._w.dtype)
 
 
 def test_level_set_dp_equals_vertex_dp(kfn, monkeypatch):
-    # exact_scenery runs a k-function on its two level sets and
-    # _exact_sceneries on its vertices: the laws agree field by field at
-    # every L up to 8 that the cell ceiling allows (all of them here).
+    # exact_scenery takes a k-function's law as a product on its two level
+    # sets and _exact_sceneries walks its vertices: the laws agree field by
+    # field, weight dtype included, at every L up to 8, and on every
+    # k-function on Q_5 also at L = 10, a step count the session requests.
     tables = [f for n in range(1, 5) for k in range(n + 1) for f in kfn(n, k)]
-    twos = list(cs.enumerate_spectral(5, 2))
-    tables += twos + [cs.complement(f) for f in twos]
+    fives = [f for k in range(1, 5) for f in cs.enumerate_spectral(5, k)]
+    assert len(fives) == 300
     by_n = {}
-    for f in tables:
+    for f in tables + fives:
         by_n.setdefault(f.n, []).append(f)
     for n, group in by_n.items():
-        for L in range(9):
+        for L in [*range(9), 10] if n == 5 else range(9):
+            # Batches fill the cell ceiling, 2**(n + L + 1) cells a table.
             batch = scenery.MAX_DP_CELLS >> (n + L + 1)
             vertex_laws = []
             for i in range(0, len(group), batch):
@@ -261,9 +291,9 @@ def test_level_set_dp_equals_vertex_dp(kfn, monkeypatch):
 
 @pytest.mark.parametrize("n, L", [(2, 7), (2, 8), (4, 3), (4, 7), (4, 8), (8, 11)])
 def test_level_set_dp_holds_a_whole_cell(n, L):
-    # A constant's one cell collects all 2**n * n**L walks, and the parity's
-    # cells 2**(n - 1) * n**L each: past n**L, so a state sized by n**L
-    # alone would wrap at (2, 7), (4, 3) and (4, 7).
+    # A constant's one word carries all 2**n * n**L walks, and each of the
+    # parity's two words 2**(n - 1) * n**L: past n**L, where a dtype sized
+    # by n**L alone would wrap at (2, 7), (4, 3) and (4, 7).
     plus, minus = (1,) * (L + 1), (-1,) * (L + 1)
     alternating = tuple((-1) ** i for i in range(L + 1))
     flipped = tuple(-a for a in alternating)
