@@ -34,6 +34,7 @@ from .core import (
 from .errors import BudgetExceeded, CubeStableError, VerificationFailed
 from .group import _check_canonical_n, are_isomorphic, canonical_form, pad_to
 from .kfunctions import (
+    DEFAULT_NODE_BUDGET,
     count_table,
     count_table_csv,
     enumerate_spectral,
@@ -47,12 +48,10 @@ from .serialize import (
     scenery_text,
     witness_to_json,
 )
-from .sos import check_bounds, f_upper_bound, sos_count
+from .sos import DEFAULT_MEMO_LIMIT, check_bounds, f_upper_bound, sos_count
 from .verify import run_verify
 
 DEFAULT_SEED = 42
-DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_MEMO_BUDGET = 10_000_000
 
 
 def _emit(line: str) -> None:
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-bound", action="store_true")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--budget-memo", type=int, default=DEFAULT_MEMO_BUDGET)
+    p.add_argument("--budget-memo", type=int, default=DEFAULT_MEMO_LIMIT)
     p.set_defaults(func=_cmd_sos)
 
     p = sub.add_parser("scenery", help="exact walk-scenery distribution")

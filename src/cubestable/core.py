@@ -10,13 +10,13 @@ Conventions, used consistently across the whole package:
 * A :class:`TruthTable` packs one bit per vertex into a Python int: bit v is
   set iff f(v) = -1.
 * A :class:`Spectrum` stores the integer-scaled coefficients
-  ``coeffs[S] = 2**n * fhat(S)`` in one read-only numpy array (int64, or
-  Python ints past int64) and scans it with numpy reductions; ``coeffs``
-  gives them as Python ints.  For a +/-1-valued f, Parseval reads
-  ``sum(c*c for c in coeffs) == 4**n`` exactly.  Each call of :func:`wht`
-  builds a new spectrum that records the coordinates f does not depend on,
-  and its support scans read only the 2**|R| coefficients on its relevant
-  coordinates R.
+  ``coeffs[S] = 2**n * fhat(S)`` as their support only: the ascending masks
+  of the nonzero coefficients and the coefficients at them, two read-only
+  numpy arrays (the values int64, or Python ints past int64).  ``coeffs``
+  scatters them over all 2**n masks as Python ints.  For a +/-1-valued f,
+  Parseval reads ``sum(c*c for c in coeffs) == 4**n`` exactly.
+  :func:`wht` transforms only the coordinates R that f depends on, so its
+  cost and its spectrum's size follow 2**|R|, not 2**n.
 * A :class:`SparsePolynomial` stores only nonzero coefficients, each as a
   dyadic rational ``num / 2**log2_den`` keyed by its mask.  Masks may use
   variable indices up to 64, independent of any ambient n.
@@ -26,9 +26,9 @@ the matrix product that packs group images in :mod:`.group`, holds only
 integers below 2**53, where float64 is exact.
 
 All three classes are immutable after construction (a TruthTable's
-restriction to its relevant coordinates and a Spectrum's support are filled
-in lazily but never change an observable value; a SparsePolynomial holds
-its terms only), so instances can be shared freely across threads.
+restriction to its relevant coordinates is filled in lazily but never
+changes an observable value), so instances can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ from .errors import (
 )
 
 #: Largest n for which dense 2**n-entry representations are allowed.  The
-#: table is 8 MiB at n = 26, but its int64 spectrum is 512 MiB: one ``wht``
-#: in a fresh process takes 4.7-4.9 s and 621 MB peak RSS there (1.1-1.3 s
-#: and 177 MB at n = 24, on a 2-core Xeon), so n = 26 fits a 2 GB budget.
-#: Anything bigger stays sparse.
+#: table is 8 MiB at n = 26, but a spectrum with no zero coefficient holds
+#: 512 MiB of int64 masks and as much of values.  One ``wht`` of a random
+#: table on every coordinate, with its support read or not, takes 3.8-4.0 s
+#: and 1134 MB peak RSS there in a fresh process (0.8-1.0 s and 303 MB at
+#: n = 24, on a 2-core Xeon); as one dense array the spectrum took 622 MB
+#: alone and 1646 MB with its support read (177 / 431 MB at n = 24).  So
+#: n = 26 fits a 2 GB budget.  Anything bigger stays sparse.
 MAX_DENSE_N = 26
 
 #: Largest 1-based variable index a sparse polynomial may mention.
@@ -177,22 +180,20 @@ def _check_integer_type(t: type, what: str) -> None:
 
 
 class Spectrum:
-    """Integer-scaled Fourier coefficients of a function on Q_n.
+    """Integer-scaled Fourier coefficients of a function on Q_n, held as
+    their support.
 
-    ``coeffs[S] = 2**n * fhat(S)``, indexed by subset mask, held in one
-    read-only array: int64 if every coefficient fits, else Python ints.
-    Every coefficient on a mask that meets the private coordinate mask
-    ``_skip`` is zero: :func:`wht` sets it to the coordinates the function
-    does not use, and every other spectrum has it 0.  The support is
-    scanned on its first read and kept in ``_support``.
+    ``coeffs[S] = 2**n * fhat(S)``, indexed by subset mask.  Only the
+    nonzero ones are stored: ``_masks`` holds their masks, ascending, and
+    ``_values`` the coefficients at them, int64 if every one fits, else
+    Python ints.  Both are read-only.
     """
 
-    __slots__ = ("n", "_a", "_skip", "_support")
+    __slots__ = ("n", "_masks", "_values")
 
     n: int
-    _a: np.ndarray
-    _skip: int
-    _support: np.ndarray | None
+    _masks: np.ndarray
+    _values: np.ndarray
 
     def __init__(self, n: int, coeffs: Iterable[int]):
         _check_dimension(n)
@@ -201,72 +202,68 @@ class Spectrum:
             raise ValueError(f"expected {1 << n} coefficients, got {len(cs)}")
         for t in set(map(type, cs)):
             _check_integer_type(t, "coefficient")
-        try:
-            self._set(n, np.array(cs, dtype=np.int64))
-        except OverflowError:
-            self._set(n, np.array(list(map(int, cs)), dtype=object))
+        a = _exact_array(cs)
+        masks = np.flatnonzero(a)
+        self._set(n, masks, a[masks])
 
-    def _set(self, n: int, a: np.ndarray, skip: int = 0) -> "Spectrum":
-        a.flags.writeable = False
-        self.n, self._a, self._skip, self._support = n, a, skip, None
-        return self
-
-    def _masks(self) -> np.ndarray:
-        """The support, ascending and read-only, from one scan of the
-        entries that avoid ``_skip``, kept for the spectrum's later reads:
-        hit i's bits are spread over the other coordinates, lowest first,
-        as :func:`_within` lays them out, which keeps order.  The bits that
-        move the same distance, a run of kept coordinates, move together."""
-        if self._support is not None:
-            return self._support
-        masks = np.flatnonzero(_within(self._a, self.n, self._skip))
-        if self._skip:
-            moves: dict[int, int] = {}
-            kept = [c for c in range(self.n) if not self._skip >> c & 1]
-            for i, j in enumerate(kept):
-                moves[j - i] = moves.get(j - i, 0) | 1 << i
-            hits, masks = masks, np.zeros_like(masks)
-            for shift, bits in moves.items():
-                masks |= (hits & bits) << shift
+    def _set(self, n: int, masks: np.ndarray, values: np.ndarray) -> "Spectrum":
         masks.flags.writeable = False
-        self._support = masks
-        return masks
+        values.flags.writeable = False
+        self.n, self._masks, self._values = n, masks, values
+        return self
 
     def _terms(self) -> dict[int, int]:
         """The nonzero coefficients as Python ints, by ascending mask."""
-        masks = self._masks()
-        return dict(zip(masks.tolist(), self._a[masks].tolist()))
+        return dict(zip(self._masks.tolist(), self._values.tolist()))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """The coefficients as Python ints, by mask."""
-        return tuple(self._a.tolist())
+        a = np.zeros(1 << self.n, dtype=self._values.dtype)
+        a[self._masks] = self._values
+        return tuple(a.tolist())
 
     def coefficient(self, mask: int) -> Fraction:
         """The exact Fourier coefficient fhat(S)."""
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"coefficient mask {mask} outside Q_{self.n}")
-        return Fraction(int(self._a[mask]), 1 << self.n)
+        i = int(np.searchsorted(self._masks, mask))
+        hit = i < len(self._masks) and self._masks[i] == mask
+        return Fraction(int(self._values[i]) if hit else 0, 1 << self.n)
 
     def support(self) -> list[int]:
         """Masks with nonzero coefficient, ascending."""
-        return self._masks().tolist()
+        return self._masks.tolist()
 
     def support_levels(self) -> frozenset[int]:
         """The set of popcounts occurring in the support."""
-        counts = np.bincount(np.bitwise_count(self._masks()))
-        return frozenset(np.flatnonzero(counts).tolist())
+        # Marking the popcounts builds no array wider than their uint8s.
+        seen = np.zeros(MAX_DENSE_N + 1, dtype=bool)
+        seen[np.bitwise_count(self._masks)] = True
+        return frozenset(np.flatnonzero(seen).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._a, other._a)
+        return (
+            self.n == other.n
+            and np.array_equal(self._masks, other._masks)
+            and np.array_equal(self._values, other._values)
+        )
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(self._terms().items())))
 
     def __repr__(self) -> str:
         return f"Spectrum(n={self.n}, nonzero={self._terms()})"
+
+
+def _exact_array(values: list) -> np.ndarray:
+    """Integers as one array: int64 if every one fits, else Python ints."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(list(map(int, values)), dtype=object)
 
 
 def _normalize_term(num: int, log2_den: int) -> tuple[int, int]:
@@ -541,10 +538,10 @@ def _constant_coordinates(bits: int, n: int) -> tuple[int, int]:
 
     The first value is a mask: bit j is set iff f(v) == f(v ^ 2**j) for
     every v.  The second is f at x_j = +1 for every such j: a packed table
-    on Q_|R| over the relevant coordinates R, lowest first, as
-    :func:`_within` lays them out (``bits`` itself when R is every
-    coordinate).  :func:`wht` and :func:`.kfunctions.uniform_flip_count`
-    run on it.
+    on Q_|R| over the relevant coordinates R, lowest first: its vertex i is
+    the vertex of Q_n that spreads i's bits over R, lowest first (``bits``
+    itself when R is every coordinate).  :func:`wht` and
+    :func:`.kfunctions.uniform_flip_count` run on it.
 
     The first 64 vertices, a Q_6 table, rule out almost every coordinate of
     a table that depends on all of them: j < 6 within that word, j >= 6 by
@@ -625,27 +622,11 @@ def _word_axes(words: np.ndarray, n: int, skip: int) -> np.ndarray:
     return words.reshape((2,) * (n - 6))[keep]
 
 
-def _within(a: np.ndarray, n: int, skip: int) -> np.ndarray:
-    """The view of a 2**n-entry array ``a`` at the masks that avoid the
-    coordinates in ``skip``, shaped (2,) * (n - |skip|).
-
-    Entry i of its C-order ravel is the mask that spreads the bits of i,
-    lowest first, over the coordinates outside ``skip``, lowest first: so
-    that mask and i have the same popcount, and a set of such masks ORs
-    to a mask of the same popcount as their indices' OR.
-    """
-    # Axis i of the (2,) * n view is coordinate n - 1 - i; Ellipsis keeps a
-    # 0-d view, not a scalar, when no coordinate is left.
-    keep = tuple(0 if skip >> j & 1 else slice(None) for j in range(n - 1, -1, -1))
-    return a.reshape((2,) * n)[keep + (Ellipsis,)]
-
-
 def wht(f: TruthTable) -> Spectrum:
     """The integer-scaled Walsh-Hadamard spectrum of f.
 
     ``wht(f).coeffs[S] == sum(f(v) * chi_S(v) for v) == 2**n * fhat(S)``.
-    Each call transforms anew and returns a new spectrum, whose ``_skip``
-    records the coordinates f does not depend on.
+    Each call transforms anew and returns a new spectrum.
 
     Only the coordinates R that f depends on are transformed: the butterfly
     runs on f restricted to x_j = +1 for every j outside R, the table on
@@ -653,9 +634,8 @@ def wht(f: TruthTable) -> Spectrum:
     flip count of f made it already).  Its spectrum, times 2**(n - |R|),
     gives the coefficients of the masks within R, and every other
     coefficient is 0.  The cost is that scan plus 2**|R| * |R| butterfly
-    updates, and, when |R| < n, one zeroed array of 2**n entries to
-    scatter into.  A table that depends on every coordinate takes the full
-    butterfly with no scatter.
+    updates, and the arrays it holds have 2**|R| entries: the butterfly's,
+    then the nonzero coefficients and their masks.
     """
     n = f.n
     skip, part = f._relevant_part()
@@ -666,26 +646,38 @@ def wht(f: TruthTable) -> Spectrum:
     _butterfly(a)
     a *= -2 << skip.bit_count()
     a[0] += 1 << n
+    nonzero = a != 0
+    values = a[nonzero]
+    # Freed before the hits are listed, so that the butterfly's array and
+    # the masks are never held together.
+    del a
+    masks = np.flatnonzero(nonzero)
     if skip:
-        full = np.zeros(1 << n, dtype=np.int64)
-        within = _within(full, n, skip)
-        within[...] = a.reshape(within.shape)
-        a = full
-    return Spectrum.__new__(Spectrum)._set(n, a, skip)
+        # Hit i's bits spread over R, lowest first, which keeps their order.
+        # The bits that move the same distance, a run of R, move together.
+        moves: dict[int, int] = {}
+        kept = [c for c in range(n) if not skip >> c & 1]
+        for i, j in enumerate(kept):
+            moves[j - i] = moves.get(j - i, 0) | 1 << i
+        hits, masks = masks, np.zeros_like(masks)
+        for shift, bits in moves.items():
+            masks |= (hits & bits) << shift
+    return Spectrum.__new__(Spectrum)._set(n, masks, values)
 
 
 def inverse_wht(s: Spectrum) -> TruthTable:
     """The +/-1-valued function with spectrum s, as a new table.
 
     Raises :class:`NotBoolean` if the coefficients do not describe a
-    +/-1-valued function.
+    +/-1-valued function; an empty support evaluates to 0 everywhere.
     """
     size = 1 << s.n
     # No +/-1 function has a coefficient beyond 2**n; rejecting those first
     # keeps the int64 butterfly below 2**52.
-    if s._a.max() > size or s._a.min() < -size:
+    if ((s._values > size) | (s._values < -size)).any():
         raise NotBoolean(f"a coefficient exceeds 2**{s.n} in absolute value")
-    a = s._a.astype(np.int64)
+    a = np.zeros(size, dtype=np.int64)
+    a[s._masks] = s._values
     _butterfly(a)
     # The butterfly applied twice multiplies by 2**n.  Comparing against
     # both signs builds only boolean temporaries, not an int64 np.abs(a).
@@ -706,7 +698,7 @@ def relevant_indices(obj: Spectrum | SparsePolynomial) -> frozenset[int]:
     contains it.
     """
     if isinstance(obj, Spectrum):
-        union = int(np.bitwise_or.reduce(obj._masks()))
+        union = int(np.bitwise_or.reduce(obj._masks))
     elif isinstance(obj, SparsePolynomial):
         union = obj.relevant_mask()
     else:
@@ -843,22 +835,25 @@ def sparse_from_truth_table(f: TruthTable) -> SparsePolynomial:
 
 
 def spectrum_from_sparse(p: SparsePolynomial, n: int) -> Spectrum:
-    """Embed a polynomial on variables within 1..n as a dense spectrum.
+    """Embed a polynomial on variables within 1..n as a spectrum on Q_n.
 
-    Raises :class:`DimensionTooLarge` via the Spectrum constructor if n is
-    past the dense ceiling, ValueError if p mentions a variable beyond n, or
-    :class:`NotBoolean` if a coefficient is not a multiple of 1/2**n.  The
-    spectrum is the constructor's, so its support scans read all 2**n
-    coefficients.
+    Raises :class:`DimensionTooLarge` if n is past the dense ceiling,
+    ValueError if p mentions a variable beyond n, or :class:`NotBoolean` if
+    a coefficient is not a multiple of 1/2**n, in that order.  The spectrum
+    holds p's terms scaled by 2**n, by ascending mask, in int64 if every
+    one fits, as the constructor would build it from all 2**n of them.
     """
     _check_dimension(n)
     if p.relevant_mask() >> n:
         raise ValueError(f"polynomial mentions variables beyond x_{n}")
-    coeffs = [0] * (1 << n)
+    scaled = {}
     for mask, (num, a) in p.terms.items():
         if a > n:
             raise NotBoolean(
                 f"coefficient {num}/2**{a} is finer than the 2**-{n} grid of Q_{n}"
             )
-        coeffs[mask] = num << (n - a)
-    return Spectrum(n, coeffs)
+        scaled[mask] = num << (n - a)
+    masks = sorted(scaled)
+    return Spectrum.__new__(Spectrum)._set(
+        n, np.array(masks, dtype=np.intp), _exact_array([scaled[m] for m in masks])
+    )

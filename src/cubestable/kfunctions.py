@@ -44,6 +44,9 @@ from .group import _orbit, canonical_form
 #: Largest n for which :func:`enumerate_truth_tables` lists truth tables.
 MAX_ENUMERATE_N = 4
 
+#: Default ceiling on the nodes :func:`enumerate_spectral` visits.
+DEFAULT_NODE_BUDGET = 10_000_000
+
 #: Largest n_max of :func:`count_table`, and of the vertex search behind
 #: it: a partial table is one uint64, and a Q_7 table has 128 bits.
 MAX_COUNT_N = 6
@@ -217,7 +220,7 @@ _SUBTREE_ENTRIES = 1 << 16
 
 
 def enumerate_spectral(
-    n: int, k: int, *, node_budget: int = 10_000_000
+    n: int, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[TruthTable]:
     """All k-functions on Q_n found by searching level-k spectra directly.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cubestable as cs
-from cubestable import _util, cli, kfunctions, serialize
+from cubestable import _util, cli, core, kfunctions, serialize
 
 
 def run(capsys, argv):
@@ -305,9 +305,13 @@ def test_lift_and_certificate_on_the_restriction(n, scatter):
 
 
 def full_scan_certificate(h: cs.TruthTable) -> dict:
-    """The reference route for a table's certificate: one scan of all 2**n
-    coefficients of wht(h), with the masks themselves."""
-    masks = np.flatnonzero(cs.wht(h)._a)
+    """The reference route for a table's certificate: the butterfly over all
+    n coordinates of h's +/-1 values, not skipping the constant ones as
+    ``wht`` does, and one scan of all 2**n coefficients, with the masks
+    themselves."""
+    a = 1 - 2 * core._unpack(h.bits, h.n).astype(np.int64)
+    core._butterfly(a)
+    masks = np.flatnonzero(a)
     levels = frozenset(np.flatnonzero(np.bincount(np.bitwise_count(masks))).tolist())
     return {
         "check": "spectral-level",

@@ -78,10 +78,12 @@ def junta(n: int, coords: list[int], rng: random.Random) -> cs.TruthTable:
 
 def reference_part(f: cs.TruthTable, skip: int) -> int:
     """f at x_j = +1 for every coordinate j in ``skip``, packed on the other
-    coordinates, lowest first: the 2**n unpacked table read through
-    ``_within``."""
-    kept = core._within(core._unpack(f.bits, f.n), f.n, skip).ravel()
-    return core._pack(kept)
+    coordinates, lowest first: the 2**n unpacked table viewed as (2,) * n,
+    axis i for coordinate n - 1 - i, with index 0 taken on each axis in
+    ``skip``."""
+    keep = tuple(0 if skip >> j & 1 else slice(None) for j in range(f.n - 1, -1, -1))
+    kept = core._unpack(f.bits, f.n).reshape((2,) * f.n)[keep + (Ellipsis,)]
+    return core._pack(kept.ravel())
 
 
 def tensor_wht(f: cs.TruthTable) -> list[int]:
@@ -116,8 +118,11 @@ def test_wht_on_juntas_matches_the_defining_sum():
             spectrum = cs.wht(f)
             want = naive_wht(f) if n <= 7 else tensor_wht(f)
             assert list(spectrum.coeffs) == want, (n, coords)
-            assert spectrum._a.dtype == np.int64 and spectrum._a.shape == (1 << n,)
-            assert not spectrum._a.flags.writeable
+            assert spectrum._values.dtype == np.int64
+            assert spectrum._masks.shape == spectrum._values.shape
+            assert spectrum._values.all()
+            assert not spectrum._masks.flags.writeable
+            assert not spectrum._values.flags.writeable
             assert cs.wht(f) == spectrum
             assert cs.relevant_indices(spectrum) == {j + 1 for j in coords}
             table = cs.inverse_wht(spectrum)
@@ -295,10 +300,9 @@ def test_butterfly_int8_batch_of_every_q4_table():
 
 
 def test_butterfly_temporaries_are_bounded():
-    # 20 MiB beside a 32 MiB array: at n = 26 the 512 MiB spectrum is then
-    # most of the memory a wht needs, so it fits a 2 GB budget.
-    from cubestable import core
-
+    # 20 MiB beside a 32 MiB array: at n = 26 a full spectrum's 512 MiB of
+    # masks and 512 MiB of values are then most of the memory a wht needs,
+    # so it fits a 2 GB budget.
     a = np.ones(1 << 22, dtype=np.int64)
     tracemalloc.start()
     try:
@@ -308,6 +312,35 @@ def test_butterfly_temporaries_are_bounded():
         tracemalloc.stop()
     assert peak <= 20 << 20
     assert a[0] == 1 << 22 and not a[1:].any()
+
+
+def test_a_padded_spectrum_is_the_size_of_its_support():
+    # A Q_4 2-function with 4 terms, padded to Q_24: its transform with its
+    # support read, and its embedding from the sparse form, hold nothing of
+    # 2**24 entries.  The table's restriction is found first, as a flip
+    # count would find it; that scan reads the 2 MiB table itself.
+    n = 24
+    g = next(g for g in cs.enumerate_spectral(4, 2) if len(cs.wht(g).support()) == 4)
+    f = cs.pad_to(g, n)
+    f._relevant_part()
+    p = cs.sparse_from_truth_table(f)
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def transform():
+        s = cs.wht(f)
+        return s, s.support(), cs.relevant_indices(s)
+
+    (s, support, relevant), first = traced(transform)
+    embedded, second = traced(lambda: cs.spectrum_from_sparse(p, n))
+    assert first < 1 << 20 and second < 1 << 20, (first, second)
+    assert len(support) == 4 and relevant == cs.relevant_indices(p)
+    assert embedded == s and embedded._values.dtype == s._values.dtype
 
 
 def test_parseval_exhaustive_n3():
@@ -444,8 +477,9 @@ def test_spectrum_coeffs_are_python_ints_and_equal_a_built_spectrum():
 def test_spectrum_is_read_only_and_copies_its_input():
     f = cs.TruthTable(4, 0xBEEF)
     s = cs.wht(f)
-    with pytest.raises(ValueError):
-        s._a[0] = 1
+    for stored in (s._masks, s._values):
+        with pytest.raises(ValueError):
+            stored[0] = 1
     coeffs = list(s.coeffs)
     array = np.array(coeffs)
     built = (cs.Spectrum(4, coeffs), cs.Spectrum(4, array))
@@ -453,8 +487,9 @@ def test_spectrum_is_read_only_and_copies_its_input():
     array[0] += 2
     for t in built:
         assert t == s and t.coeffs == cs.wht(f).coeffs
-        with pytest.raises(ValueError):
-            t._a[1] = 0
+        for stored in (t._masks, t._values):
+            with pytest.raises(ValueError):
+                stored[1] = 0
 
 
 def test_spectrum_coefficient_rejects_masks_outside_the_cube():
@@ -769,7 +804,7 @@ def test_spectrum_from_sparse_matches_the_constructor():
     for p in polys:
         for n in (4, 5, 9):
             s, want = cs.spectrum_from_sparse(p, n), built(p, n)
-            assert s == want and s._a.dtype == want._a.dtype
+            assert s == want and s._values.dtype == want._values.dtype
             assert hash(s) == hash(want) and repr(s) == repr(want)
     # The documented order of the errors: dimension, variable, denominator.
     bad = cs.SparsePolynomial({0b1000: (1, 5)})
